@@ -132,6 +132,23 @@ def gaps_up_to(b: "int | BaseSpec", z_max: int, *, cross_check: bool = False) ->
 # ---------------------------------------------------------------------------
 # families of non-attained values
 
+# Cap on the bit length of a family's largest value.  A family has fewer
+# values than its top value has bits, so this also bounds the count; decimal
+# output of ints above about 14,000 bits is refused by the interpreter anyway.
+FAMILY_MAX_BITS = 10_000
+
+
+def _check_size(p: int, exponent: int) -> None:
+    """Refuse a family whose top value, below p**exponent, may exceed the cap.
+
+    Runs before any value is built.
+    """
+    bits = exponent * (p - 1).bit_length()  # (p-1).bit_length() >= log2(p)
+    if bits > FAMILY_MAX_BITS:
+        raise ValueError(
+            f"family values would need about {bits} bits, above the cap of {FAMILY_MAX_BITS}"
+        )
+
 
 def _verified(base: int, values: list[int], verify: bool) -> list[int]:
     if verify:
@@ -150,6 +167,7 @@ def family_prop3a(p: int, n: int, *, verify: bool = False) -> list[int]:
     _check_prime(p)
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
+    _check_size(p, n)
     vals = [(p**n - k * p + k - 1) // (p - 1) for k in range(1, n)]
     return _verified(p, vals, verify)
 
@@ -161,6 +179,7 @@ def family_prop3b(p: int, n: int, k: int, *, verify: bool = False) -> list[int]:
         raise ValueError(f"need n > 1, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    _check_size(p, k + n)
     top = (p**k - 1) // (p - 1) * p**n
     vals = [top - k - h for h in range(1, n)]
     return _verified(p, vals, verify)
@@ -182,6 +201,7 @@ def family_prop7(p: int, r: int, k: int, *, verify: bool = False) -> list[int]:
         raise ValueError(f"need r >= 2, got {r}")
     if k <= 1:
         raise ValueError(f"need k > 1, got {k}")
+    _check_size(p, k * r)
     s = _repunit(p, k * r)
     if s % r:
         raise PreconditionError(f"r={r} does not divide the power sum {s}")
@@ -211,6 +231,7 @@ def family_cor3(q: int, *, as_printed: bool = False, verify: bool = False) -> li
     """
     if q == 2 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
+    _check_size(2, q * (q - 1))
     if as_printed:
         if verify:
             raise ValueError("as-printed values are unverified; combine with verify is not supported")
@@ -236,6 +257,7 @@ def family_prop8(p: int, r: int, l: int, k: int, *, verify: bool = False) -> lis
         raise PreconditionError(f"l={l} must be below p={p}")
     if l % r:
         raise PreconditionError(f"r={r} does not divide l={l}")
+    _check_size(p, k * r + 1)
     top = (l // r) * _repunit(p, k * r)
     vals = [top - h for h in range(1, k)]
     return _verified(p**r, vals, verify)

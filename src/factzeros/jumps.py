@@ -4,13 +4,15 @@ For a prime base the count steps exactly at multiples of p, by the p-adic
 valuation of the new point.  For a prime power p**r the step is read off the
 euclidean decomposition of the prime count; for a composite base the step is
 the difference of z_base across the point.  jump_stream enumerates composite
-jumps without scanning every n: a jump needs some prime-power part of the
-base to jump, so candidates are exactly the multiples of the base's primes.
+jumps without scanning every n: only the parts that can attain the minimum
+(a part p**r is dropped when a larger prime of the base has an exponent
+s >= r, since its count is then never smaller) can move it, and a part p**r
+moves only at multiples of p, so candidates are the multiples of the primes
+of those parts.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -86,12 +88,14 @@ def jump_amplitude_prime_power(p: int, r: int, n: int) -> int:
     """Step of the base p**r count at n+1: floor((m + beta) / r)."""
     if r < 2:
         raise ValueError(f"exponent must be >= 2, got {r}")
-    m = valuation(p, n + 1)
-    return (m + decompose_z(p, r, n).beta) // r
+    return _component_amplitude(p, r, n)
 
 
 def _component_amplitude(p: int, r: int, n: int) -> int:
-    # same as jump_amplitude_prime_power but r = 1 allowed (beta is then 0)
+    """floor((m + beta) / r), m the valuation of n+1 and beta = z_prime(p, n) mod r.
+
+    Any r >= 1 is accepted; for r = 1 beta is 0 and the step is m.
+    """
     m = valuation(p, n + 1)
     if r == 1:
         return m
@@ -109,36 +113,43 @@ def jump_amplitude_base(b: "int | BaseSpec", n: int) -> int:
     return z_base(spec, n + 1) - z_base(spec, n)
 
 
-def _candidates(primes: tuple[int, ...], n_lo: int, n_hi: int) -> Iterator[int]:
-    """Multiples of any of the given primes in (n_lo, n_hi], ascending, deduped."""
-    runs = [range(n_lo + p - n_lo % p, n_hi + 1, p) for p in primes]
-    if len(runs) == 1:
-        yield from runs[0]
-        return
-    last = None
-    for c in heapq.merge(*runs):
-        if c != last:
-            yield c
-            last = c
-
-
 def jump_stream(b: "int | BaseSpec", n_lo: int, n_hi: int) -> Iterator[JumpRecord]:
     """All jumps of z_base located in (n_lo, n_hi], in increasing order.
 
-    Candidates are generated only at multiples of the base's primes; the
-    count is constant between candidates, so a running value avoids
-    re-evaluating the lower end of each step.
+    Only the parts in BaseSpec.live_parts can attain the minimum, so
+    candidates are the multiples of their primes.  Each of those primes keeps
+    a running count, started once at z_prime(p, n_lo) and raised by the
+    valuation of every candidate it divides; a record is yielded where the
+    minimum rises.  per_component lists every part of the base, dropped ones
+    included, and is computed only at the records.
     """
     spec = BaseSpec.of(b)
     if n_lo > n_hi:
         raise ValueError(f"empty range bounds reversed: {n_lo} > {n_hi}")
-    prev = z_base(spec, n_lo)
-    for loc in _candidates(spec.factorization.primes, n_lo, n_hi):
-        cur = z_base(spec, loc)
+    primes = [p for p, _ in spec.live_parts]
+    exps = [r for _, r in spec.live_parts]
+    counts = [z_prime(p, n_lo) for p in primes]
+    nxt = [n_lo - n_lo % p + p for p in primes]  # next multiple above n_lo
+    live = range(len(primes))
+    prev = min(c // r for c, r in zip(counts, exps))
+    while True:
+        loc = min(nxt)
+        if loc > n_hi:
+            return
+        for i in live:
+            if nxt[i] == loc:
+                p = primes[i]
+                m, v = loc // p, 1  # v becomes v_p(loc); p divides loc here
+                while m % p == 0:
+                    m //= p
+                    v += 1
+                counts[i] += v
+                nxt[i] = loc + p
+        cur = min(c // r for c, r in zip(counts, exps))
         if cur > prev:
             per = {
                 (p, r): _component_amplitude(p, r, loc - 1)
                 for p, r in spec.factorization.factors
             }
             yield JumpRecord(loc, per, cur - prev)
-        prev = cur
+            prev = cur

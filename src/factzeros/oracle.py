@@ -95,30 +95,17 @@ def trailing_zero_digits(b: int, n: int, config: OracleConfig = DEFAULT_CONFIG) 
     return zeros
 
 
-def image_scan(
-    b: int,
-    n_max: int,
-    *,
-    use_factorial: bool = False,
-    config: OracleConfig = DEFAULT_CONFIG,
-) -> set[int]:
+def image_scan(b: int, n_max: int, *, config: OracleConfig = DEFAULT_CONFIG) -> set[int]:
     """Set of trailing-zero counts attained by 0!, 1!, ..., n_max!.
 
-    By default the closed form does the per-n work (fast); with
-    use_factorial=True every point goes through the big-integer product,
-    subject to the capacity bound.
+    Every point goes through the big-integer product, subject to the
+    capacity bound.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if use_factorial:
-        _check_args(b, n_max, config)
-        values = set()
-        f = 1
-        for n in range(n_max + 1):
-            if n:
-                f *= n
-            values.add(_count_divisions(b, f))
-        return values
-    from .zcount import z_base
-
-    return {z_base(b, n) for n in range(n_max + 1)}
+    _check_args(b, n_max, config)
+    values = set()
+    f = 1
+    for n in range(n_max + 1):
+        if n:
+            f *= n
+        values.add(_count_divisions(b, f))
+    return values

@@ -14,7 +14,7 @@ against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .arithmetic import PrimeFactorization, _check_prime, factorize
@@ -22,10 +22,17 @@ from .arithmetic import PrimeFactorization, _check_prime, factorize
 
 @dataclass(frozen=True)
 class BaseSpec:
-    """A base together with its prime factorization."""
+    """A base together with its prime factorization.
+
+    live_parts holds the (prime, exponent) parts that can attain the minimum
+    in z_base.  A part (p, r) is dropped when a larger prime q has an exponent
+    s >= r: floor(n / p**i) >= floor(n / q**i) term by term, so
+    Z_p(n) // r >= Z_q(n) // r >= Z_q(n) // s for every n.
+    """
 
     base: int
     factorization: PrimeFactorization
+    live_parts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.factorization.value != self.base:
@@ -33,6 +40,14 @@ class BaseSpec:
                 f"factorization {self.factorization.factors} does not "
                 f"reconstruct {self.base}"
             )
+        # factors ascend by prime: keep a part iff its exponent beats every later one
+        live = []
+        top = 0
+        for p, r in reversed(self.factorization.factors):
+            if r > top:
+                live.append((p, r))
+                top = r
+        object.__setattr__(self, "live_parts", tuple(reversed(live)))
 
     @classmethod
     def of(cls, b: "int | BaseSpec") -> "BaseSpec":
@@ -92,11 +107,15 @@ def z_prime_power(p: int, r: int, n: int) -> int:
 
 
 def z_base(b: "int | BaseSpec", n: int) -> int:
-    """Trailing zeros of n! in base b: the minimum over b's prime-power parts."""
+    """Trailing zeros of n! in base b: the minimum over b's prime-power parts.
+
+    Only the parts that can attain the minimum (BaseSpec.live_parts) are
+    evaluated.
+    """
     spec = BaseSpec.of(b)
     _check_n(n)
     best = None
-    for p, r in spec.factorization.factors:
+    for p, r in spec.live_parts:
         z = z_prime_digitsum(p, n) // r
         if best is None or z < best:
             best = z
@@ -107,7 +126,10 @@ def z_base(b: "int | BaseSpec", n: int) -> int:
 
 
 def binding_components(b: "int | BaseSpec", n: int) -> set[tuple[int, int]]:
-    """The (prime, exponent) parts of b that achieve the minimum in z_base."""
+    """The (prime, exponent) parts of b that achieve the minimum in z_base.
+
+    Every part is evaluated, not only the live ones: a dropped part can tie.
+    """
     spec = BaseSpec.of(b)
     _check_n(n)
     per = [(p, r, z_prime_digitsum(p, n) // r) for p, r in spec.factorization.factors]

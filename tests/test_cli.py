@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,15 @@ def test_usage_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err != ""
+
+
+def test_family_above_size_cap_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "families", "cor3", "-q", "100003")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "cap" in err
 
 
 def test_family_precondition_exits_4(capsys):

@@ -183,6 +183,25 @@ def test_prop8_known_values():
         family_prop8(5, 2, 6, 2)  # l must stay below p
 
 
+@pytest.mark.parametrize(
+    "family, args",
+    [
+        (family_prop3a, (2, 10**6)),
+        (family_prop3b, (3, 4000, 4000)),
+        (family_prop7, (3, 2, 10**5)),
+        (family_cor2, (5, 10**5)),
+        (family_cor3, (100003,)),
+        (family_prop8, (7, 2, 4, 10**5)),
+    ],
+)
+def test_families_refuse_values_above_the_size_cap(family, args):
+    with pytest.raises(ValueError, match="cap"):
+        family(*args)
+    if family is family_cor3:
+        with pytest.raises(ValueError, match="cap"):
+            family(*args, as_printed=True)
+
+
 def test_families_verify_mode_passes():
     assert family_prop3a(2, 4, verify=True) == family_prop3a(2, 4)
     assert family_prop7(2, 3, 4, verify=True) == family_prop7(2, 3, 4)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factzeros.arithmetic import digit_sum, valuation
+from factzeros.arithmetic import digit_sum, factorize, valuation
 from factzeros.jumps import (
     ZDecomposition,
     decompose_z,
@@ -15,7 +15,7 @@ from factzeros.jumps import (
     jump_amplitude_prime_power,
     jump_stream,
 )
-from factzeros.zcount import z_base, z_prime, z_prime_power
+from factzeros.zcount import z_base, z_prime, z_prime_legendre, z_prime_power
 
 PP_GRID = [(2, 2), (2, 3), (3, 2), (5, 2)]
 
@@ -75,6 +75,11 @@ def test_stationarity_known_values(p, r, n, expected):
 )
 def test_jump_amplitude_prime_power_known_values(p, r, n, expected):
     assert jump_amplitude_prime_power(p, r, n) == expected
+
+
+def test_jump_amplitude_prime_power_rejects_r1():
+    with pytest.raises(ValueError):
+        jump_amplitude_prime_power(2, 1, 5)
 
 
 def test_prime_power_laws_match_direct_differences():
@@ -138,6 +143,23 @@ def test_jump_stream_matches_exhaustive_scan():
         ]
         got = [(r.location, r.composite_amplitude) for r in jump_stream(b, 0, 3000)]
         assert got == expected
+
+
+@pytest.mark.parametrize("b", [10, 12, 18, 360, 30030, 9699690])
+@pytest.mark.parametrize("lo", [0, 10**15 + 17])
+def test_jump_stream_matches_legendre_scan_over_all_parts(b, lo):
+    """Reference: every part of b, Legendre sums at every n of the window."""
+    factors = factorize(b).factors
+    hi = lo + 2000
+    parts = {(p, r): [z_prime_legendre(p, n) // r for n in range(lo, hi + 1)] for p, r in factors}
+    total = [min(col[i] for col in parts.values()) for i in range(hi - lo + 1)]
+    expected = [
+        (lo + i, total[i] - total[i - 1], {pr: col[i] - col[i - 1] for pr, col in parts.items()})
+        for i in range(1, hi - lo + 1)
+        if total[i] > total[i - 1]
+    ]
+    got = [(r.location, r.composite_amplitude, r.per_component) for r in jump_stream(b, lo, hi)]
+    assert got == expected
 
 
 def test_jump_records_are_consistent():

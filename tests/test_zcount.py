@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from factzeros.arithmetic import PrimeFactorization
 from factzeros.zcount import (
     BaseSpec,
     binding_components,
@@ -23,6 +24,22 @@ def test_base_spec_construction():
     assert spec.base == 12
     assert spec.factorization.factors == ((2, 2), (3, 1))
     assert BaseSpec.of(spec) is spec
+
+
+@pytest.mark.parametrize(
+    "b, expected",
+    [
+        (10, ((5, 1),)),
+        (12, ((2, 2), (3, 1))),
+        (360, ((2, 3), (3, 2), (5, 1))),
+        (30030, ((13, 1),)),
+        (9699690, ((19, 1),)),
+        (18, ((3, 2),)),
+        (2**5 * 3**2 * 5**2 * 7, ((2, 5), (5, 2), (7, 1))),
+    ],
+)
+def test_base_spec_live_parts_known_values(b, expected):
+    assert BaseSpec.of(b).live_parts == expected
 
 
 def test_base_spec_rejects_mismatched_factorization():
@@ -98,6 +115,22 @@ def test_z_base_rejects_bad_inputs():
         z_base(10, -1)
     with pytest.raises(ValueError):
         z_base(1, 5)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from([2, 3, 5, 7, 11, 13, 101, 2**61 - 1]),
+        st.integers(min_value=1, max_value=6),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(min_value=0, max_value=10**40),
+)
+def test_z_base_is_minimum_over_all_parts(parts, n):
+    """Reference: every part, Legendre sums; no part is skipped."""
+    f = PrimeFactorization(tuple(sorted(parts.items())))
+    spec = BaseSpec(f.value, f)
+    assert z_base(spec, n) == min(z_prime_legendre(p, n) // r for p, r in f.factors)
 
 
 @pytest.mark.parametrize(
