@@ -10,16 +10,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 2**10
 _MAX_BASE = 2**64
 
-# Witness set proven deterministic for every n < 3.3e24, which covers 64-bit bases.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to all of 2..41 is 3,317,044,064,679,887,385,961,981
+# (2..37 alone pass 318,665,857,834,031,151,167,461 = 399165290221 * 798330580441).
+# Below this bound the witness set decides primality exactly.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    """All primes below 10**6, via a byte sieve (built once, on first use)."""
+    """All primes below 2**10, via a byte sieve (built once, on first use)."""
     sieve = bytearray([1]) * _TRIAL_LIMIT
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(_TRIAL_LIMIT) + 1):
@@ -50,7 +53,13 @@ def _miller_rabin(n: int) -> bool:
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic primality check (valid for all n below 3.3e24)."""
+    """Deterministic primality check, exact for every n below _MR_BOUND.
+
+    Raises ValueError for n >= _MR_BOUND (about 3.3e24), where the fixed
+    Miller-Rabin witness set is no longer a proof.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is only decided below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -100,7 +109,7 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_tail(m: int, out: dict[int, int]) -> None:
-    # m has no prime factor <= _TRIAL_LIMIT
+    # m has no prime factor below _TRIAL_LIMIT
     if m == 1:
         return
     if is_prime(m):
@@ -144,8 +153,8 @@ class PrimeFactorization:
 def factorize(b: int) -> PrimeFactorization:
     """Factor a base b with 2 <= b < 2**64.
 
-    Trial division by primes below 10**6, then a deterministic Pollard-rho
-    fallback for the (at most two-prime) cofactor.
+    Trial division by primes below 2**10, then the cofactor goes to is_prime
+    and, while composite, to a deterministic Pollard-rho split.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")

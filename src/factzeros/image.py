@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .arithmetic import _check_prime, is_prime
 from .jumps import jump_stream
 from .zcount import BaseSpec, _check_n, z_base, z_prime
@@ -268,6 +266,7 @@ def family_prop8(p: int, r: int, l: int, k: int, *, verify: bool = False) -> lis
 
 # Above these sizes the counting loops switch to numpy chunks; the chunked
 # paths replicate the scalar walks exactly and are tested against them.
+# numpy is imported only there, so nothing below these sizes loads it.
 _SCALAR_SCAN_LIMIT = 1 << 17
 _SCALAR_WALK_LIMIT = 1 << 15
 _CHUNK = 1 << 21
@@ -330,6 +329,8 @@ def _count_by_jump_walk(p: int, N: int) -> int:
 
 
 def _count_by_jump_walk_np(p: int, N: int, bound: int) -> int:
+    import numpy as np
+
     # same walk, chunked: locations are the multiples of p, amplitudes their
     # valuations, and the running value is the cumulative amplitude sum
     skipped = 0
@@ -379,6 +380,8 @@ def _count_by_value_scan(p: int, N: int) -> int:
 
 
 def _count_by_value_scan_np(p: int, N: int, stop: int) -> int:
+    import numpy as np
+
     dtype = np.int32 if stop < 2**31 - 1 else np.int64
     count = 0
     last = -1

@@ -83,10 +83,12 @@ def z_prime_legendre(p: int, n: int) -> int:
 def z_prime_digitsum(p: int, n: int) -> int:
     """Count of factors of p in n! as (n - digit_sum(n, p)) / (p - 1).
 
-    The division is always exact.
+    The division is always exact.  For p = 2 the digit sum is n.bit_count().
     """
     _check_prime(p)
     _check_n(n)
+    if p == 2:
+        return n - n.bit_count()
     s = 0
     m = n
     while m:

@@ -1,5 +1,8 @@
 """Integer primitives: factorization, valuation, digits, carry rule."""
 
+from collections import Counter
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +53,74 @@ def test_factorize_large_semiprime():
 def test_factorize_large_prime():
     m61 = 2**61 - 1
     assert factorize(m61).factors == ((m61, 1),)
+
+
+@pytest.mark.parametrize(
+    "b, expected",
+    [
+        (1031**6, ((1031, 6),)),
+        (65537**3, ((65537, 3),)),
+        (1000003**3, ((1000003, 3),)),
+        (
+            1031 * 1033 * 1039 * 1049 * 1051 * 1061,
+            ((1031, 1), (1033, 1), (1039, 1), (1049, 1), (1051, 1), (1061, 1)),
+        ),
+        (1009 * 999983**2, ((1009, 1), (999983, 2))),
+        (2**32 * 4294967291, ((2, 32), (4294967291, 1))),
+        (2**61 - 1, ((2**61 - 1, 1),)),
+        (2**64 - 59, ((2**64 - 59, 1),)),
+        (4294967279 * 4294967291, ((4294967279, 1), (4294967291, 1))),
+        (2**63, ((2, 63),)),
+        (3**40, ((3, 40),)),
+    ],
+    ids=[
+        "1031^6", "65537^3", "1000003^3", "1031..1061", "1009*999983^2",
+        "2^32*4294967291", "2^61-1", "2^64-59", "semiprime64", "2^63", "3^40",
+    ],
+)
+def test_factorize_beyond_trial_division(b, expected):
+    """Cofactors past the trial primes: prime powers, many primes, 64-bit sizes."""
+    f = factorize(b)
+    assert f.factors == expected
+    assert f.value == b
+    assert all(is_prime(p) for p in f.primes)
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=2**32 - 6), min_size=1, max_size=6))
+def test_factorize_products_of_primes_below_2_32(starts):
+    primes = []
+    for s in starts:
+        p = _next_prime(s)
+        if prod(primes) * p >= 2**64:
+            break
+        primes.append(p)
+    b = prod(primes)
+    if b < 2:
+        return
+    assert factorize(b).factors == tuple(sorted(Counter(primes).items()))
+
+
+def test_is_prime_rejects_strong_pseudoprime_to_2_through_37():
+    # 399165290221 * 798330580441 passes every witness up to 37; 41 exposes it
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
+def test_is_prime_refuses_the_unproven_range():
+    bound = 3317044064679887385961981
+    with pytest.raises(ValueError):
+        is_prime(bound)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+    assert is_prime(2**61 - 1)
 
 
 @pytest.mark.parametrize("bad", [-4, 0, 1, 2**64, 2**64 + 10])

@@ -267,7 +267,34 @@ def test_family_precondition_exits_4(capsys):
     assert "precondition" in err
 
 
+def test_pseudoprime_family_parameter_exits_1(capsys):
+    code, out, err = run(capsys, "families", "prop3a", "-p", "318665857834031151167461", "-n", "2")
+    assert code == 1
+    assert out == ""
+    assert "prime" in err
+
+
+def test_prime_parameter_at_primality_bound_exits_1(capsys):
+    code, out, err = run(capsys, "families", "prop3a", "-p", "3317044064679887385961981", "-n", "2")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 # --- end-to-end process tests ----------------------------------------------
+
+
+def test_cold_import_and_small_density_leave_numpy_unloaded():
+    script = (
+        "import sys\n"
+        "import factzeros.cli\n"
+        "from factzeros import density_exact\n"
+        "density_exact(2, 15)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 def test_exit_codes_through_real_processes():

@@ -1,7 +1,7 @@
 """Trailing-zero counting functions and the scaling identity."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factzeros.arithmetic import PrimeFactorization
@@ -68,6 +68,14 @@ def test_z_prime_routes_agree_small_grid():
 @given(st.sampled_from(PRIMES), st.integers(min_value=0, max_value=10**15))
 def test_z_prime_routes_agree_random(p, n):
     assert z_prime_legendre(p, n) == z_prime_digitsum(p, n)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=20_000).flatmap(
+    lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+))
+def test_z_2_popcount_matches_legendre(n):
+    assert z_prime_digitsum(2, n) == z_prime_legendre(2, n)
 
 
 def test_z_prime_counts_factors_directly():
