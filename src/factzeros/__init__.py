@@ -15,6 +15,7 @@ from .image import (
     DensityReport,
     MembershipResult,
     PreconditionError,
+    VerificationError,
     density_exact,
     density_paper_formula,
     family_cor2,

@@ -8,7 +8,7 @@ are decimal and arbitrary precision.  Ranges are written a..b and include
 both endpoints.
 
 Exit status contract: 0 success (and member), 1 usage error, 2 non-member,
-3 verification mismatch, 4 family precondition failure.
+3 verification mismatch or failed check, 4 family precondition failure, 5 internal error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 from .image import (
     PreconditionError,
+    VerificationError,
     density_exact,
     family_cor2,
     family_cor3,
@@ -44,6 +45,7 @@ EXIT_USAGE = 1
 EXIT_NON_MEMBER = 2
 EXIT_MISMATCH = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 FORMATS = ("text", "json", "csv", "bfile")
 FORMAT_ENV_VAR = "FACTZEROS_FORMAT"
@@ -287,71 +289,48 @@ def cmd_gaps(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_PARAMS = {
-    "prop3a": ("p", "n"),
-    "prop3b": ("p", "n", "k"),
-    "prop7": ("p", "r", "k"),
-    "cor2": ("p", "k"),
-    "cor3": ("q",),
-    "prop8": ("p", "r", "l", "k"),
+_FAMILIES = {
+    "prop3a": (family_prop3a, ("p", "n")),
+    "prop3b": (family_prop3b, ("p", "n", "k")),
+    "prop7": (family_prop7, ("p", "r", "k")),
+    "cor2": (family_cor2, ("p", "k")),
+    "cor3": (family_cor3, ("q",)),
+    "prop8": (family_prop8, ("p", "r", "l", "k")),
 }
 
 
-def _family_values(args) -> tuple[list[int], dict, int]:
-    """Values, recorded inputs, and the base the family lives in."""
-    need = _FAMILY_PARAMS[args.family]
+def cmd_families(args) -> int:
+    generate, names = _FAMILIES[args.family]
     params = {}
-    for name in need:
+    for name in names:
         value = getattr(args, name)
         if value is None:
             raise ValueError(f"family {args.family} requires -{name}")
         params[name] = value
-    if args.family == "prop3a":
-        return family_prop3a(params["p"], params["n"]), params, params["p"]
-    if args.family == "prop3b":
-        return family_prop3b(params["p"], params["n"], params["k"]), params, params["p"]
-    if args.family == "prop7":
-        base = params["p"] ** params["r"]
-        return family_prop7(params["p"], params["r"], params["k"]), params, base
-    if args.family == "cor2":
-        return family_cor2(params["p"], params["k"]), params, params["p"] ** 2
-    if args.family == "cor3":
-        values = family_cor3(params["q"], as_printed=args.as_printed)
-        if args.as_printed:
-            params = dict(params, as_printed=True)
-        return values, params, 2 ** params["q"]
-    base = params["p"] ** params["r"]
-    return family_prop8(params["p"], params["r"], params["l"], params["k"]), params, base
-
-
-def cmd_families(args) -> int:
-    if args.as_printed and args.family != "cor3":
-        raise ValueError("--as-printed only applies to cor3")
-    if args.as_printed and args.verify:
-        raise ValueError("as-printed values are reference output and cannot be verified")
-    values, params, base = _family_values(args)
+    if args.as_printed:
+        if args.family != "cor3":
+            raise ValueError("--as-printed only applies to cor3")
+        params["as_printed"] = True
+    # verify=True raises VerificationError unless every value is proved unattained
+    values = generate(**params, verify=args.verify)
     inputs = {"family": args.family, **params}
-    verdicts = [in_image(base, v).member for v in values] if args.verify else None
 
     def pairs() -> Iterator[Pair]:
         for i, v in enumerate(values, start=1):
             results = {"index": i, "value": v}
             txt = str(v)
-            if verdicts is not None:
-                results["member"] = verdicts[i - 1]
-                txt += " member" if verdicts[i - 1] else " non-member"
+            if args.verify:
+                results["member"] = False
+                txt += " non-member"
             yield make_record("families", inputs, results), txt
 
     _write_stream(
         args.format,
         pairs(),
         csv_columns=["index", "value"] + (["member"] if args.verify else []),
-        csv_row=lambda r: [r.results["index"], r.results["value"]]
-        + ([r.results["member"]] if args.verify else []),
+        csv_row=lambda r: list(r.results.values()),  # built in column order above
         bfile_pair=lambda r: (r.results["index"], r.results["value"]),
     )
-    if verdicts is not None and any(verdicts):
-        return EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -478,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("families", help="parametric families of non-attained values")
-    p.add_argument("family", choices=sorted(_FAMILY_PARAMS))
+    p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("-p", type=int)
     p.add_argument("-q", type=int)
     p.add_argument("-n", type=int)
@@ -522,8 +501,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return EXIT_MISMATCH
     except BrokenPipeError:
         return EXIT_OK
+    except Exception as e:
+        # any other exception is a fault in the program, not in the input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:  # console script hook

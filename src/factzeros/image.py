@@ -3,11 +3,11 @@
 The count for a fixed base is non-decreasing in n but skips values, so its
 image has gaps.  Membership of a target z is decided by inverting the count
 with a gallop-plus-bisect search (monotonicity is all that is needed);
-gap enumeration walks the jump stream and records skipped values; the
-family generators produce parametric integers that provably land inside a
-single jump and therefore never occur.  Density counts image members up to
-N by two routes that share no counting logic, and refuses to answer unless
-they agree.
+gap enumeration walks the jump stream and records skipped values.  Each
+family generator produces the values skipped by one jump whose location the
+paper names; verify=True proves the whole run unattained with two counts at
+that location.  Density counts image members up to N by two routes that
+share no counting logic, and refuses to answer unless they agree.
 """
 
 from __future__ import annotations
@@ -15,13 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arithmetic import _check_prime, is_prime
+from .arithmetic import _check_prime, is_prime, valuation
 from .jumps import jump_stream
-from .zcount import BaseSpec, _check_n, z_base, z_prime
+from .zcount import BaseSpec, _check_n, z_base, z_prime, z_shift
 
 
 class PreconditionError(ValueError):
     """An arithmetic precondition of a family does not hold for these parameters."""
+
+
+class VerificationError(RuntimeError):
+    """A result failed its independent check (a family run or a density count)."""
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,11 @@ def gaps_by_membership(b: "int | BaseSpec", z_max: int) -> list[int]:
     return [z for z in range(z_max + 1) if not in_image(spec, z).member]
 
 
-def gaps_up_to(b: "int | BaseSpec", z_max: int, *, cross_check: bool = False) -> list[int]:
+def gaps_up_to(b: "int | BaseSpec", z_max: int) -> list[int]:
     """All z <= z_max never attained in base b, by walking the jump stream.
 
     Each jump from value v to v+a skips v+1 .. v+a-1; collecting those while
-    the running value is below z_max yields every gap.  cross_check=True
-    re-derives the list through per-z membership and raises on any mismatch.
+    the running value is below z_max yields every gap.
     """
     spec = BaseSpec.of(b)
     _check_n(z_max)
@@ -122,8 +125,6 @@ def gaps_up_to(b: "int | BaseSpec", z_max: int, *, cross_check: bool = False) ->
             prev = after
             if prev >= z_max:
                 break
-    if cross_check and gaps != gaps_by_membership(spec, z_max):
-        raise RuntimeError(f"gap walk disagrees with membership scan for base {spec.base}")
     return gaps
 
 
@@ -148,11 +149,21 @@ def _check_size(p: int, exponent: int) -> None:
         )
 
 
-def _verified(base: int, values: list[int], verify: bool) -> list[int]:
+def _verified(part: tuple[int, int], l: int, e: int, values: list[int], verify: bool) -> list[int]:
+    """The values, proved unattained in base p**r when verify is set.
+
+    Z never decreases, so Z(L - 1) < min(values) and max(values) < Z(L) at the
+    jump L = l * p**e prove it; Z_p(L - 1) = Z_p(L) - v_p(L) = Z_p(L) - e - v_p(l).
+    """
     if verify:
-        for v in values:
-            if in_image(base, v).member:
-                raise RuntimeError(f"{v} is attained in base {base}; family is wrong")
+        p, r = part
+        at = z_shift(p, l, e)
+        below, above = (at - e - valuation(p, l)) // r, at // r
+        if not (below < min(values) and max(values) < above):
+            raise VerificationError(
+                f"the {len(values)} values are not all skipped by the jump at "
+                f"{l}*{p}**{e} in base {p}**{r}; family is wrong"
+            )
     return values
 
 
@@ -167,7 +178,7 @@ def family_prop3a(p: int, n: int, *, verify: bool = False) -> list[int]:
         raise ValueError(f"need n > 1, got {n}")
     _check_size(p, n)
     vals = [(p**n - k * p + k - 1) // (p - 1) for k in range(1, n)]
-    return _verified(p, vals, verify)
+    return _verified((p, 1), 1, n, vals, verify)
 
 
 def family_prop3b(p: int, n: int, k: int, *, verify: bool = False) -> list[int]:
@@ -180,7 +191,7 @@ def family_prop3b(p: int, n: int, k: int, *, verify: bool = False) -> list[int]:
     _check_size(p, k + n)
     top = (p**k - 1) // (p - 1) * p**n
     vals = [top - k - h for h in range(1, n)]
-    return _verified(p, vals, verify)
+    return _verified((p, 1), p**k - 1, n, vals, verify)
 
 
 def _repunit(p: int, length: int) -> int:
@@ -205,7 +216,7 @@ def family_prop7(p: int, r: int, k: int, *, verify: bool = False) -> list[int]:
         raise PreconditionError(f"r={r} does not divide the power sum {s}")
     top = s // r
     vals = [top - h for h in range(1, k)]
-    return _verified(p**r, vals, verify)
+    return _verified((p, r), 1, k * r, vals, verify)
 
 
 def family_cor2(p: int, k: int, *, verify: bool = False) -> list[int]:
@@ -232,7 +243,7 @@ def family_cor3(q: int, *, as_printed: bool = False, verify: bool = False) -> li
     _check_size(2, q * (q - 1))
     if as_printed:
         if verify:
-            raise ValueError("as-printed values are unverified; combine with verify is not supported")
+            raise ValueError("as-printed values are reference output and cannot be verified")
         top = 2 ** (q * (q - 1)) - 1
         return [top - h for h in range(1, q - 1)]
     return family_prop7(2, q, q - 1, verify=verify)
@@ -258,7 +269,7 @@ def family_prop8(p: int, r: int, l: int, k: int, *, verify: bool = False) -> lis
     _check_size(p, k * r + 1)
     top = (l // r) * _repunit(p, k * r)
     vals = [top - h for h in range(1, k)]
-    return _verified(p**r, vals, verify)
+    return _verified((p, r), l, k * r, vals, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +312,7 @@ def density_exact(p: int, N: int) -> DensityReport:
     a_walk = _count_by_jump_walk(p, N)
     a_scan = _count_by_value_scan(p, N)
     if a_walk != a_scan:
-        raise RuntimeError(
+        raise VerificationError(
             f"density counts disagree for p={p}, N={N}: walk {a_walk}, scan {a_scan}"
         )
     k = _power_index(p, N)

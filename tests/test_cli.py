@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import factzeros.cli as cli
+import factzeros.image as image
 from factzeros.cli import OutputRecord, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -147,6 +148,18 @@ def test_families_verify_annotates(capsys):
     assert out == "6 non-member\n5 non-member\n"
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [(["cor3", "-q", "67"], 65), (["prop7", "-p", "65537", "-r", "4", "-k", "2"], 1)],
+)
+def test_families_verify_bases_of_2_64_and_up(capsys, argv, count):
+    code, out, err = run(capsys, "families", *argv, "--verify")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == count
+    assert all(line.endswith(" non-member") for line in lines)
+
+
 def test_families_as_printed(capsys):
     code, out, _ = run(capsys, "families", "cor3", "-q", "3", "--as-printed")
     assert code == 0 and out == "62\n"
@@ -265,6 +278,33 @@ def test_family_precondition_exits_4(capsys):
     code, _, err = run(capsys, "families", "prop7", "-p", "2", "-r", "2", "-k", "2")
     assert code == 4
     assert "precondition" in err
+
+
+def test_failed_family_or_density_check_exits_3(capsys, monkeypatch):
+    real_verified = image._verified
+    monkeypatch.setattr(
+        image,
+        "_verified",
+        lambda part, l, e, v, verify: real_verified(part, l, e, v + [max(v) + 1], verify),
+    )
+    code, out, err = run(capsys, "families", "prop3a", "-p", "2", "-n", "3", "--verify")
+    assert code == 3 and out == ""
+    assert err.startswith("verification failed:") and len(err.splitlines()) == 1
+    real_scan = image._count_by_value_scan
+    monkeypatch.setattr(image, "_count_by_value_scan", lambda p, N: real_scan(p, N) + 1)
+    code, out, err = run(capsys, "density", "-p", "2", "-k", "4")
+    assert code == 3 and out == ""
+    assert err.startswith("verification failed:") and len(err.splitlines()) == 1
+
+
+def test_internal_fault_exits_5(capsys, monkeypatch):
+    def broken(b, n):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "z_base", broken)
+    code, out, err = run(capsys, "zeros", "--base", "10", "25")
+    assert code == 5 and out == ""
+    assert err == "internal error: KeyError: 'lost'\n"
 
 
 def test_pseudoprime_family_parameter_exits_1(capsys):

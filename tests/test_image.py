@@ -1,15 +1,19 @@
 """Membership, gaps, non-attained families, and exact density counts."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import factzeros.arithmetic as arithmetic
 import factzeros.image as image
+import factzeros.zcount as zcount
 from factzeros.image import (
     MembershipResult,
     PreconditionError,
+    VerificationError,
     density_exact,
     density_paper_formula,
     family_cor2,
@@ -91,8 +95,7 @@ def test_membership_result_shape_is_checked():
     ],
 )
 def test_gaps_known_values(b, z_max, expected):
-    assert gaps_up_to(b, z_max) == expected
-    assert gaps_up_to(b, z_max, cross_check=True) == expected
+    assert gaps_up_to(b, z_max) == gaps_by_membership(b, z_max) == expected
 
 
 def test_gap_routes_agree():
@@ -208,11 +211,74 @@ def test_families_verify_mode_passes():
     assert family_cor3(3, verify=True) == [20]
 
 
+_EVERY_FAMILY = [
+    (family_prop3a, (2, 3)),
+    (family_prop3b, (3, 4, 2)),
+    (family_prop7, (2, 3, 4)),
+    (family_cor2, (5, 3)),
+    (family_cor3, (5,)),
+    (family_prop8, (7, 2, 4, 3)),
+]
+
+
 def test_families_verify_mode_detects_members(monkeypatch):
-    always_member = lambda b, z: MembershipResult(z, True, witness=0)
-    monkeypatch.setattr(image, "in_image", always_member)
-    with pytest.raises(RuntimeError):
-        family_prop3a(2, 3, verify=True)
+    # a family whose run is widened by one value at either end contains an
+    # attained value, and verify=True must refuse it
+    real = image._verified
+    for widen in (lambda v: v + [max(v) + 1], lambda v: [min(v) - 1] + v):
+        monkeypatch.setattr(
+            image, "_verified", lambda part, l, e, v, verify: real(part, l, e, widen(v), verify)
+        )
+        for family, args in _EVERY_FAMILY:
+            with pytest.raises(RuntimeError):
+                family(*args, verify=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=-1, max_value=1),
+)
+def test_location_check_agrees_with_membership(p, r, l, e, lo_shift, hi_shift):
+    """Runs around the jump at l * p**e, one wider or narrower at each end."""
+    b, loc = p**r, l * p**e
+    lo = z_base(b, loc - 1) + 1 + lo_shift
+    hi = z_base(b, loc) - 1 + hi_shift
+    assume(lo <= hi)
+    values = list(range(lo, hi + 1))
+    skipped = all(not in_image(b, v).member for v in values)
+    try:
+        image._verified((p, r), l, e, values, True)
+        proved = True
+    except VerificationError:
+        proved = False
+    assert proved == skipped
+
+
+def test_family_verification_needs_no_inversion_or_factorization(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("family verification inverted the count or factorized a base")
+
+    for module, name in [
+        (image, "in_image"),
+        (image, "min_arg_reaching"),
+        (zcount, "_spec_from_int"),
+        (zcount, "factorize"),
+        (arithmetic, "factorize"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    for family, args in _EVERY_FAMILY:
+        assert family(*args, verify=True) == family(*args)
+    # bases of 2**64 and up, which factorize refuses
+    assert len(family_cor3(67, verify=True)) == 65
+    assert len(family_prop7(65537, 4, 2, verify=True)) == 1
+    start = time.perf_counter()
+    assert family_prop3a(3, 400, verify=True) == family_prop3a(3, 400)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_family_values_fail_membership():
