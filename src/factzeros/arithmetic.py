@@ -6,7 +6,7 @@ throughout, because carries and trailing-digit runs are read from the low end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -120,15 +120,14 @@ def _factor_tail(m: int, out: dict[int, int]) -> None:
     _factor_tail(m // d, out)
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(namedtuple("PrimeFactorization", "factors")):
     """Multiset of (prime, exponent) pairs, distinct primes in increasing order."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, factors: tuple[tuple[int, int], ...]) -> PrimeFactorization:
         prev = 1
-        for p, r in self.factors:
+        for p, r in factors:
             if p <= prev:
                 raise ValueError("primes must be distinct and increasing")
             if r < 1:
@@ -136,6 +135,7 @@ class PrimeFactorization:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
+        return super().__new__(cls, factors)
 
     @property
     def value(self) -> int:
@@ -185,26 +185,25 @@ def valuation(p: int, n: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(namedtuple("DigitExpansion", "base digits")):
     """Little-endian digits of a non-negative integer in a fixed base.
 
     The zero value is exactly (0,); otherwise the highest-index digit is
     nonzero.
     """
 
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if not self.digits:
+    def __new__(cls, base: int, digits: tuple[int, ...]) -> DigitExpansion:
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        if not digits:
             raise ValueError("digit list must be nonempty")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ValueError(f"digits out of range for base {self.base}")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
+        if any(d < 0 or d >= base for d in digits):
+            raise ValueError(f"digits out of range for base {base}")
+        if len(digits) > 1 and digits[-1] == 0:
             raise ValueError("highest digit must be nonzero")
+        return super().__new__(cls, base, digits)
 
     @property
     def value(self) -> int:

@@ -13,29 +13,13 @@ Exit status contract: 0 success (and member), 1 usage error, 2 non-member,
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
 
-from .image import (
-    PreconditionError,
-    VerificationError,
-    density_exact,
-    family_cor2,
-    family_cor3,
-    family_prop3a,
-    family_prop3b,
-    family_prop7,
-    family_prop8,
-    gaps_up_to,
-    in_image,
-)
-from .jumps import jump_stream
-from .oracle import OracleConfig, factorial_trailing_zeros
+from .errors import PreconditionError, VerificationError
 from .zcount import BaseSpec, z_base
 
 SCHEMA_VERSION = "1"
@@ -49,34 +33,26 @@ EXIT_INTERNAL = 5
 
 FORMATS = ("text", "json", "csv", "bfile")
 FORMAT_ENV_VAR = "FACTZEROS_FORMAT"
+SEQUENCE_COMMANDS = ("zeros", "gaps", "families")  # the commands bfile can render
 
 _MISMATCH_SAMPLE_CAP = 20
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(namedtuple("OutputRecord", "schema_version command inputs results")):
     """One result line: fixed envelope around a command-specific payload."""
 
-    schema_version: str
-    command: str
-    inputs: dict
-    results: dict
+    __slots__ = ()
 
     def to_json(self) -> str:
         """Deterministic one-line JSON: sorted keys, no locale formatting."""
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "command": self.command,
-                "inputs": self.inputs,
-                "results": self.results,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        import json
+
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, line: str) -> "OutputRecord":
+    def from_json(cls, line: str) -> OutputRecord:
+        import json
+
         obj = json.loads(line)
         return cls(obj["schema_version"], obj["command"], obj["inputs"], obj["results"])
 
@@ -87,12 +63,6 @@ def make_record(command: str, inputs: dict, results: dict) -> OutputRecord:
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse would sys.exit(2); the exit contract reserves 2 for non-member
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -131,43 +101,33 @@ def _parse_base_set(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # output
 
-Pair = tuple[OutputRecord, str]
+# one result line: its record, its text line and its csv row; the bfile line
+# of a sequence command is the first two csv fields
+Row = tuple[OutputRecord, str, list]
 
 
-def _write_stream(
-    fmt: str,
-    pairs: Iterable[Pair],
-    *,
-    csv_columns: list[str],
-    csv_row: Callable[[OutputRecord], list],
-    bfile_pair: Callable[[OutputRecord], tuple[int, int]] | None,
-    out=None,
-) -> None:
-    out = out or sys.stdout
+def _write_stream(fmt: str, csv_columns: list[str], rows: Iterable[Row]) -> None:
+    """Write the rows in fmt; the parser has refused bfile for non-sequence commands."""
+    out = sys.stdout
     if fmt == "text":
-        for _, txt in pairs:
+        for _, txt, _ in rows:
             out.write(txt + "\n")
     elif fmt == "json":
-        for rec, _ in pairs:
+        for rec, _, _ in rows:
             out.write(rec.to_json() + "\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(csv_columns)
-        for rec, _ in pairs:
-            writer.writerow(csv_row(rec))
-    elif fmt == "bfile":
-        if bfile_pair is None:
-            raise ValueError("format bfile is only available for zeros, gaps, and families")
-        for rec, _ in pairs:
-            index, value = bfile_pair(rec)
-            out.write(f"{index} {value}\n")
+        writer.writerows(row for _, _, row in rows)
     else:
-        # argparse validates --format choices but not env-sourced defaults
-        raise ValueError(f"unknown format {fmt!r}")
+        for _, _, row in rows:
+            out.write(f"{row[0]} {row[1]}\n")
 
 
-def _components_text(components: list[dict]) -> str:
-    return ",".join(f"{c['prime']}^{c['exponent']}:{c['amplitude']}" for c in components)
+def _components_text(components: list[dict], sep: str) -> str:
+    return sep.join(f"{c['prime']}^{c['exponent']}:{c['amplitude']}" for c in components)
 
 
 # ---------------------------------------------------------------------------
@@ -177,132 +137,97 @@ def _components_text(components: list[dict]) -> str:
 def cmd_zeros(args) -> int:
     spec = BaseSpec.of(args.base)
 
-    def pairs() -> Iterator[Pair]:
+    def rows() -> Iterator[Row]:
         for token in args.n:
             lo, hi = _parse_range(token)
             bare = lo == hi
             for n in range(lo, hi + 1):
                 z = z_base(spec, n)
                 rec = make_record("zeros", {"base": spec.base, "n": n}, {"zeros": z})
-                yield rec, f"{z}" if bare else f"{n} {z}"
+                yield rec, f"{z}" if bare else f"{n} {z}", [n, z]
 
-    _write_stream(
-        args.format,
-        pairs(),
-        csv_columns=["n", "zeros"],
-        csv_row=lambda r: [r.inputs["n"], r.results["zeros"]],
-        bfile_pair=lambda r: (r.inputs["n"], r.results["zeros"]),
-    )
+    _write_stream(args.format, ["n", "zeros"], rows())
     return EXIT_OK
 
 
 def cmd_jumps(args) -> int:
+    from .jumps import jump_stream
+
     spec = BaseSpec.of(args.base)
     inputs = {"base": spec.base, "from": args.n_lo, "to": args.n_hi}
 
-    def pairs() -> Iterator[Pair]:
+    def rows() -> Iterator[Row]:
         for rec in jump_stream(spec, args.n_lo, args.n_hi):
-            components = [
-                {"prime": p, "exponent": r, "amplitude": a}
-                for (p, r), a in sorted(rec.per_component.items())
-            ]
-            out = make_record(
-                "jumps",
-                inputs,
-                {
-                    "location": rec.location,
-                    "composite_amplitude": rec.composite_amplitude,
-                    "per_component": components,
-                },
-            )
-            yield out, (
-                f"{rec.location} {rec.composite_amplitude} {_components_text(components)}"
-            )
+            loc, amp = rec.location, rec.composite_amplitude
+            parts = sorted(rec.per_component.items())
+            components = [{"prime": p, "exponent": r, "amplitude": a} for (p, r), a in parts]
+            results = {"location": loc, "composite_amplitude": amp, "per_component": components}
+            text = f"{loc} {amp} {_components_text(components, ',')}"
+            row = [loc, amp, _components_text(components, ";")]
+            yield make_record("jumps", inputs, results), text, row
 
-    _write_stream(
-        args.format,
-        pairs(),
-        csv_columns=["location", "composite_amplitude", "components"],
-        csv_row=lambda r: [
-            r.results["location"],
-            r.results["composite_amplitude"],
-            ";".join(
-                f"{c['prime']}^{c['exponent']}:{c['amplitude']}"
-                for c in r.results["per_component"]
-            ),
-        ],
-        bfile_pair=None,
-    )
+    _write_stream(args.format, ["location", "composite_amplitude", "components"], rows())
     return EXIT_OK
 
 
 def cmd_member(args) -> int:
+    from .image import in_image
+
     spec = BaseSpec.of(args.base)
     res = in_image(spec, args.z)
     if res.member:
         results = {"member": True, "witness": res.witness, "bracket": None}
         txt = f"{args.z} member witness={res.witness}"
+        row = [args.z, True, res.witness, "", "", ""]
     else:
         # rendered n is the last argument before the skip: count jumps from
         # z_below at n to z_above at n+1
         n_star, below, above = res.bracket
-        results = {
-            "member": False,
-            "witness": None,
-            "bracket": {"n": n_star - 1, "z_below": below, "z_above": above},
-        }
+        bracket = {"n": n_star - 1, "z_below": below, "z_above": above}
+        results = {"member": False, "witness": None, "bracket": bracket}
         txt = f"{args.z} non-member bracket n={n_star - 1} below={below} above={above}"
+        row = [args.z, False, "", n_star - 1, below, above]
     rec = make_record("member", {"base": spec.base, "z": args.z}, results)
     _write_stream(
         args.format,
-        [(rec, txt)],
-        csv_columns=["z", "member", "witness", "bracket_n", "z_below", "z_above"],
-        csv_row=lambda r: [
-            r.inputs["z"],
-            r.results["member"],
-            r.results["witness"] if r.results["member"] else "",
-            "" if r.results["member"] else r.results["bracket"]["n"],
-            "" if r.results["member"] else r.results["bracket"]["z_below"],
-            "" if r.results["member"] else r.results["bracket"]["z_above"],
-        ],
-        bfile_pair=None,
+        ["z", "member", "witness", "bracket_n", "z_below", "z_above"],
+        [(rec, txt, row)],
     )
     return EXIT_OK if res.member else EXIT_NON_MEMBER
 
 
 def cmd_gaps(args) -> int:
+    from .image import gaps_up_to
+
     spec = BaseSpec.of(args.base)
     inputs = {"base": spec.base, "z_max": args.z_max}
 
-    def pairs() -> Iterator[Pair]:
+    def rows() -> Iterator[Row]:
         for i, gap in enumerate(gaps_up_to(spec, args.z_max), start=1):
             rec = make_record("gaps", inputs, {"index": i, "gap": gap})
-            yield rec, str(gap)
+            yield rec, str(gap), [i, gap]
 
-    _write_stream(
-        args.format,
-        pairs(),
-        csv_columns=["index", "gap"],
-        csv_row=lambda r: [r.results["index"], r.results["gap"]],
-        bfile_pair=lambda r: (r.results["index"], r.results["gap"]),
-    )
+    _write_stream(args.format, ["index", "gap"], rows())
     return EXIT_OK
 
 
+# family name -> its parameters; the generator is image.family_<name>
 _FAMILIES = {
-    "prop3a": (family_prop3a, ("p", "n")),
-    "prop3b": (family_prop3b, ("p", "n", "k")),
-    "prop7": (family_prop7, ("p", "r", "k")),
-    "cor2": (family_cor2, ("p", "k")),
-    "cor3": (family_cor3, ("q",)),
-    "prop8": (family_prop8, ("p", "r", "l", "k")),
+    "prop3a": ("p", "n"),
+    "prop3b": ("p", "n", "k"),
+    "prop7": ("p", "r", "k"),
+    "cor2": ("p", "k"),
+    "cor3": ("q",),
+    "prop8": ("p", "r", "l", "k"),
 }
 
 
 def cmd_families(args) -> int:
-    generate, names = _FAMILIES[args.family]
+    from . import image
+
+    generate = getattr(image, f"family_{args.family}")
     params = {}
-    for name in names:
+    for name in _FAMILIES[args.family]:
         value = getattr(args, name)
         if value is None:
             raise ValueError(f"family {args.family} requires -{name}")
@@ -315,65 +240,49 @@ def cmd_families(args) -> int:
     values = generate(**params, verify=args.verify)
     inputs = {"family": args.family, **params}
 
-    def pairs() -> Iterator[Pair]:
+    def rows() -> Iterator[Row]:
         for i, v in enumerate(values, start=1):
             results = {"index": i, "value": v}
             txt = str(v)
             if args.verify:
                 results["member"] = False
                 txt += " non-member"
-            yield make_record("families", inputs, results), txt
+            yield make_record("families", inputs, results), txt, list(results.values())
 
-    _write_stream(
-        args.format,
-        pairs(),
-        csv_columns=["index", "value"] + (["member"] if args.verify else []),
-        csv_row=lambda r: list(r.results.values()),  # built in column order above
-        bfile_pair=lambda r: (r.results["index"], r.results["value"]),
-    )
+    _write_stream(args.format, ["index", "value"] + (["member"] if args.verify else []), rows())
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    if args.k is not None:
-        n_upper = args.p**args.k - 1
-        inputs = {"p": args.p, "k": args.k, "N": n_upper}
-    else:
-        n_upper = args.N
-        inputs = {"p": args.p, "k": None, "N": n_upper}
+    from .image import density_exact
+
+    n_upper = args.N if args.k is None else args.p**args.k - 1
+    inputs = {"p": args.p, "k": args.k, "N": n_upper}
     report = density_exact(args.p, n_upper)
+    num, den = report.ratio.numerator, report.ratio.denominator
     results = {
         "a_exact": report.a_exact,
         "a_paper_formula": report.a_paper_formula,
-        "ratio": {"num": report.ratio.numerator, "den": report.ratio.denominator},
+        "ratio": {"num": num, "den": den},
         "divergence": report.divergence,
     }
     formula_txt = "-" if report.a_paper_formula is None else str(report.a_paper_formula)
     txt = (
         f"p={report.p} N={report.N} a_exact={report.a_exact} formula={formula_txt} "
-        f"ratio={report.ratio.numerator}/{report.ratio.denominator} "
-        f"divergence={str(report.divergence).lower()}"
+        f"ratio={num}/{den} divergence={str(report.divergence).lower()}"
     )
-    rec = make_record("density", inputs, results)
+    row = [args.p, n_upper, report.a_exact, report.a_paper_formula, num, den, report.divergence]
     _write_stream(
         args.format,
-        [(rec, txt)],
-        csv_columns=["p", "N", "a_exact", "a_paper_formula", "ratio_num", "ratio_den", "divergence"],
-        csv_row=lambda r: [
-            r.inputs["p"],
-            r.inputs["N"],
-            r.results["a_exact"],
-            "" if r.results["a_paper_formula"] is None else r.results["a_paper_formula"],
-            r.results["ratio"]["num"],
-            r.results["ratio"]["den"],
-            r.results["divergence"],
-        ],
-        bfile_pair=None,
+        ["p", "N", "a_exact", "a_paper_formula", "ratio_num", "ratio_den", "divergence"],
+        [(make_record("density", inputs, results), txt, row)],
     )
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from .oracle import OracleConfig, factorial_trailing_zeros
+
     bases = _parse_base_set(args.bases)
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
@@ -398,101 +307,206 @@ def cmd_verify(args) -> int:
             f"\nMISMATCH base={m['base']} n={m['n']} "
             f"oracle={m['oracle']} closed_form={m['closed_form']}"
         )
-    rec = make_record("verify", inputs, results)
+    row = [",".join(str(b) for b in bases), args.n_max, checked, mismatches]
     _write_stream(
         args.format,
-        [(rec, txt)],
-        csv_columns=["bases", "n_max", "checked", "mismatches"],
-        csv_row=lambda r: [
-            ",".join(str(b) for b in r.inputs["bases"]),
-            r.inputs["n_max"],
-            r.results["checked"],
-            r.results["mismatches"],
-        ],
-        bfile_pair=None,
+        ["bases", "n_max", "checked", "mismatches"],
+        [(make_record("verify", inputs, results), txt, row)],
     )
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# Reads a command line as argparse read this grammar (--opt v, --opt=v, -p v,
+# -p2, long-option prefixes, --, negative positionals, -h), token by token
+# from the left, so an error in an earlier token wins over a later --help.
+
+_REQUIRED = object()  # default of an option that must be given
+_HELP = {"-h": ("help", None, None), "--help": ("help", None, None)}
+
+# command -> (handler, usage, positional, options, one_of).  An option is
+# flag -> (dest, type, default): type int or str converts the value, a tuple
+# lists its choices, bool is a flag without a value and None is help.
+# positional is (dest, type, takes-many) or None; exactly one of the flags in
+# one_of must be given.
+_BASE = ("base", int, _REQUIRED)
+_COMMANDS = {
+    "zeros": (cmd_zeros, "--base B N [N ...]", ("n", str, True), {"--base": _BASE}, ()),
+    "jumps": (
+        cmd_jumps, "--base B [--from LO] --to HI", None,
+        {"--base": _BASE, "--from": ("n_lo", int, 0), "--to": ("n_hi", int, _REQUIRED)}, (),
+    ),
+    "member": (cmd_member, "--base B Z", ("z", int, False), {"--base": _BASE}, ()),
+    "gaps": (
+        cmd_gaps, "--base B --max Z", None,
+        {"--base": _BASE, "--max": ("z_max", int, _REQUIRED)}, (),
+    ),
+    "families": (
+        cmd_families,
+        f"{{{','.join(sorted(_FAMILIES))}}} [-p P] [-q Q] [-n N] [-k K] [-r R] [-l L] "
+        "[--as-printed] [--verify]",
+        ("family", tuple(sorted(_FAMILIES)), False),
+        {
+            **{f"-{name}": (name, int, None) for name in "pqnkrl"},
+            "--as-printed": ("as_printed", bool, False),
+            "--verify": ("verify", bool, False),
+        },
+        (),
+    ),
+    "density": (
+        cmd_density, "-p P (-k K | -N N)", None,
+        {"-p": ("p", int, _REQUIRED), "-k": ("k", int, None), "-N": ("N", int, None)}, ("-k", "-N"),
+    ),
+    "verify": (
+        cmd_verify, "[--bases 2..36] [--n-max 2000]", None,
+        {"--bases": ("bases", str, "2..36"), "--n-max": ("n_max", int, 2000)}, (),
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="factzeros", description=__doc__.splitlines()[0])
-    default_format = os.environ.get(FORMAT_ENV_VAR, "text")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _option(token: str, flags: dict):
+    """None for a positional token, else (flag, attached value or None); flag None is unknown."""
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    head, eq, tail = token.partition("=")
+    if token in flags or eq and head in flags:
+        return (token, None) if token in flags else (head, tail)
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(head)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], tail if eq else None
+    elif token[:2] in flags:
+        return token[:2], token[2:]
+    body = token[1:].removesuffix("\n")  # argparse's negative-number pattern, -5 or -.5
+    whole, dot, frac = body.partition(".")
+    number = body.isdecimal() or bool(dot) and frac.isdecimal() and (whole.isdecimal() or not whole)
+    return None if number or " " in token else (None, None)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=FORMATS,
-            default=default_format,
-            help=f"output format (default from ${FORMAT_ENV_VAR} or text)",
-        )
 
-    p = sub.add_parser("zeros", help="trailing zeros of n! in a base")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", nargs="+", help="one or more n values or a..b ranges")
-    add_format(p)
-    p.set_defaults(func=cmd_zeros)
+def _classify(argv: list[str], flags: dict) -> list:
+    """_option of each token; the first "--" is marked "--" and every later token is positional."""
+    n = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(token, flags) for token in argv[:n]]
+    return kinds + ["--"] + [None] * (len(argv) - n - 1) if n < len(argv) else kinds
 
-    p = sub.add_parser("jumps", help="points where the count increases")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--from", dest="n_lo", type=int, default=0)
-    p.add_argument("--to", dest="n_hi", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_jumps)
 
-    p = sub.add_parser("member", help="is z ever attained as a count?")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("z", type=int)
-    add_format(p)
-    p.set_defaults(func=cmd_member)
+def _take_option(argv: list[str], kinds: list, i: int, flags: dict) -> tuple[list, int]:
+    """The (flag, text) actions of the option at argv[i] (-hp2 is -h -p 2), and the next index."""
+    flag, attached = kinds[i]
+    actions = []
+    while flags[flag][1] in (bool, None) and attached is not None:
+        if flag[1] == "-" or not attached or "-" + attached[0] not in flags:
+            raise _UsageError(f"argument {flag}: ignored explicit argument {attached!r}")
+        actions.append((flag, None))
+        flag, attached = "-" + attached[0], attached[1:] or None
+    if attached is None and flags[flag][1] not in (bool, None):
+        if i + 1 == len(argv) or kinds[i + 1] is not None:
+            raise _UsageError(f"argument {flag}: expected one argument")
+        return actions + [(flag, argv[i + 1])], i + 2
+    return actions + [(flag, attached)], i + 1
 
-    p = sub.add_parser("gaps", help="all values never attained, up to a bound")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--max", dest="z_max", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_gaps)
 
-    p = sub.add_parser("families", help="parametric families of non-attained values")
-    p.add_argument("family", choices=sorted(_FAMILIES))
-    p.add_argument("-p", type=int)
-    p.add_argument("-q", type=int)
-    p.add_argument("-n", type=int)
-    p.add_argument("-k", type=int)
-    p.add_argument("-r", type=int)
-    p.add_argument("-l", type=int)
-    p.add_argument("--as-printed", action="store_true", help="cor3 only: undivided variant")
-    p.add_argument("--verify", action="store_true", help="annotate each value with membership")
-    add_format(p)
-    p.set_defaults(func=cmd_families)
+def _convert(name: str, kind, text: str):
+    try:
+        value = int(text) if kind is int else text
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if isinstance(kind, tuple) and value not in kind:
+        raise _UsageError(f"argument {name}: invalid choice: {text!r}")
+    return value
 
-    p = sub.add_parser("density", help="how much of [0, N] the image covers")
-    p.add_argument("-p", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("-k", type=int, help="use N = p**k - 1")
-    group.add_argument("-N", type=int)
-    add_format(p)
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("verify", help="closed forms against the factorial oracle")
-    p.add_argument("--bases", default="2..36", help="comma-separated bases and a..b ranges")
-    p.add_argument("--n-max", dest="n_max", type=int, default=2000)
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
+def _print_help(commands) -> None:
+    for name in commands:
+        print(f"usage: factzeros {name} {_COMMANDS[name][1]} [--format {{{','.join(FORMATS)}}}]")
 
-    return parser
+
+def _parse_command(command: str, argv: list[str]) -> SimpleNamespace | None:
+    handler, _, positional, options, one_of = _COMMANDS[command]
+    format_option = ("format", FORMATS, os.environ.get(FORMAT_ENV_VAR, "text"))
+    flags = {**options, "--format": format_option, **_HELP}
+    kinds = _classify(argv, flags)
+    values = {dest: default for dest, _, default in flags.values() if dest != "help"}
+    given, extras = set(), []
+    i = 0
+    while i < len(argv):
+        if kinds[i] not in (None, "--"):  # an option
+            if kinds[i][0] is None:
+                extras.append(argv[i])
+                i += 1
+                continue
+            actions, i = _take_option(argv, kinds, i, flags)
+            for flag, text in actions:
+                dest, kind, _ = flags[flag]
+                if kind is None:
+                    _print_help([command])
+                    return None
+                values[dest] = True if kind is bool else _convert(flag, kind, text)
+                if flag in one_of and given.intersection(one_of) - {flag}:
+                    raise _UsageError(f"argument {flag}: not allowed with {' '.join(one_of)}")
+                given.add(flag)
+            continue
+        # a run of positionals: the positional takes one (or all) and a "--" beside it
+        end = i
+        while end < len(argv) and kinds[end] in (None, "--"):
+            end += 1
+        stop = i + (kinds[i] == "--")
+        if positional is not None and stop < end:
+            dest, kind, many = positional
+            stop = end if many else stop + 1 + (kinds[stop + 1 : stop + 2] == ["--"])
+            texts = [t for t, k in zip(argv[i:stop], kinds[i:stop]) if k != "--"]
+            values[dest] = texts if many else _convert(dest, kind, texts[0])
+            positional = None
+        else:
+            stop = i
+        extras += argv[stop:end]
+        i = end
+    missing = [flag for flag, (dest, _, _) in options.items() if values[dest] is _REQUIRED]
+    missing += [positional[0]] if positional is not None else []
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if one_of and not given.intersection(one_of):
+        raise _UsageError(f"one of the arguments {' '.join(one_of)} is required")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    _convert(f"${FORMAT_ENV_VAR}", FORMATS, values["format"])  # a --format value passed already
+    if values["format"] == "bfile" and command not in SEQUENCE_COMMANDS:
+        raise _UsageError("format bfile is only available for zeros, gaps, and families")
+    return SimpleNamespace(command=command, func=handler, **values)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command line as a namespace, or None once help is printed.
+
+    Every refusal, the output format's included, is a _UsageError raised before any work.
+    """
+    kinds = _classify(argv, _HELP)
+    # skip unknown options (refused below) to help or the command, whichever comes first
+    i = next((j for j, kind in enumerate(kinds) if kind in (None, "--") or kind[0]), len(argv))
+    if i < len(argv) and kinds[i] not in (None, "--"):
+        _take_option(argv, kinds, i, _HELP)
+        _print_help(_COMMANDS)
+        return None
+    if i == len(argv) or argv[i] not in _COMMANDS:
+        raise _UsageError(f"argument command: expected one of {', '.join(_COMMANDS)}")
+    args = _parse_command(argv[i], argv[i + 1 :])
+    if args is not None and i:  # unknown options before the command
+        raise _UsageError(f"unrecognized arguments: {' '.join(argv[:i])}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args is None:
+        return EXIT_OK
     try:
         return args.func(args)
     except PreconditionError as e:

@@ -12,24 +12,15 @@ share no counting logic, and refuses to answer unless they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .arithmetic import _check_prime, is_prime, valuation
+from .errors import PreconditionError, VerificationError
 from .jumps import jump_stream
 from .zcount import BaseSpec, _check_n, z_base, z_prime, z_shift
 
 
-class PreconditionError(ValueError):
-    """An arithmetic precondition of a family does not hold for these parameters."""
-
-
-class VerificationError(RuntimeError):
-    """A result failed its independent check (a family run or a density count)."""
-
-
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(namedtuple("MembershipResult", "z member witness bracket")):
     """Outcome of asking whether z occurs as a trailing-zero count.
 
     Members carry the minimal witness n; non-members carry the bracketing
@@ -37,36 +28,31 @@ class MembershipResult:
     value_above.
     """
 
-    z: int
-    member: bool
-    witness: int | None = None
-    bracket: tuple[int, int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.member:
-            if self.witness is None or self.bracket is not None:
+    def __new__(
+        cls, z: int, member: bool, witness: int | None = None, bracket: tuple | None = None
+    ) -> MembershipResult:
+        if member:
+            if witness is None or bracket is not None:
                 raise ValueError("a member carries a witness and no bracket")
         else:
-            if self.witness is not None or self.bracket is None:
+            if witness is not None or bracket is None:
                 raise ValueError("a non-member carries a bracket and no witness")
-            _, below, above = self.bracket
-            if not below < self.z < above:
-                raise ValueError(f"bracket {self.bracket} does not straddle {self.z}")
+            _, below, above = bracket
+            if not below < z < above:
+                raise ValueError(f"bracket {bracket} does not straddle {z}")
+        return super().__new__(cls, z, member, witness, bracket)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(namedtuple("DensityReport", "p N a_exact a_paper_formula ratio")):
     """Exact image count in [0, N] next to the closed-form prediction for it.
 
-    a_paper_formula is None unless N + 1 is a power of p.  The two exact
-    counting routes must have agreed for this report to exist.
+    a_paper_formula is None unless N + 1 is a power of p; ratio is a_exact / N as a
+    Fraction.  The two exact counting routes must have agreed for this report to exist.
     """
 
-    p: int
-    N: int
-    a_exact: int
-    a_paper_formula: int | None
-    ratio: Fraction
+    __slots__ = ()
 
     @property
     def divergence(self) -> bool:
@@ -177,7 +163,8 @@ def family_prop3a(p: int, n: int, *, verify: bool = False) -> list[int]:
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
     _check_size(p, n)
-    vals = [(p**n - k * p + k - 1) // (p - 1) for k in range(1, n)]
+    top = _repunit(p, n)  # (p**n - 1)/(p - 1), so value k is top - k
+    vals = [top - k for k in range(1, n)]
     return _verified((p, 1), 1, n, vals, verify)
 
 
@@ -315,6 +302,8 @@ def density_exact(p: int, N: int) -> DensityReport:
         raise VerificationError(
             f"density counts disagree for p={p}, N={N}: walk {a_walk}, scan {a_scan}"
         )
+    from fractions import Fraction
+
     k = _power_index(p, N)
     formula = density_paper_formula(p, k) if k is not None else None
     return DensityReport(p, N, a_walk, formula, Fraction(a_walk, N))

@@ -13,41 +13,39 @@ of those parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .arithmetic import _check_prime, trailing_max_digits, valuation
 from .zcount import BaseSpec, _check_n, z_base, z_prime
 
 
-@dataclass(frozen=True)
-class ZDecomposition:
+class ZDecomposition(namedtuple("ZDecomposition", "alpha beta modulus")):
     """z_prime(p, n) split as alpha * modulus + beta with 0 <= beta < modulus."""
 
-    alpha: int
-    beta: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not 0 <= self.beta < self.modulus:
-            raise ValueError(f"beta must lie in [0, {self.modulus}), got {self.beta}")
+    def __new__(cls, alpha: int, beta: int, modulus: int) -> ZDecomposition:
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if not 0 <= beta < modulus:
+            raise ValueError(f"beta must lie in [0, {modulus}), got {beta}")
+        return super().__new__(cls, alpha, beta, modulus)
 
     @property
     def value(self) -> int:
         return self.alpha * self.modulus + self.beta
 
 
-@dataclass(frozen=True)
-class JumpRecord:
-    """A point n+1 where z_base increases, with per-part and total amplitudes."""
+class JumpRecord(namedtuple("JumpRecord", "location per_component composite_amplitude")):
+    """A point n+1 where z_base increases, with per-part and total amplitudes.
 
-    location: int
-    per_component: dict[tuple[int, int], int]
-    composite_amplitude: int
+    per_component maps each (prime, exponent) part of the base to its step.
+    """
+
+    __slots__ = ()
 
 
 def digit_sum_delta(p: int, n: int) -> int:

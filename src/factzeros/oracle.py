@@ -10,7 +10,7 @@ so it stays deliberately naive about everything except raw division speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -18,15 +18,15 @@ class CapacityError(ValueError):
     """Requested n exceeds the configured factorial bound."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "n_max")):
     """Bound on how large an n! the oracle will materialize."""
 
-    n_max: int = 2000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+    def __new__(cls, n_max: int = 2000) -> OracleConfig:
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        return super().__new__(cls, n_max)
 
 
 DEFAULT_CONFIG = OracleConfig()

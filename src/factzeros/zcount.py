@@ -14,40 +14,40 @@ against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .arithmetic import PrimeFactorization, _check_prime, factorize
 
 
-@dataclass(frozen=True)
-class BaseSpec:
+class BaseSpec(namedtuple("BaseSpec", "base factorization live_parts")):
     """A base together with its prime factorization.
 
     live_parts holds the (prime, exponent) parts that can attain the minimum
     in z_base.  A part (p, r) is dropped when a larger prime q has an exponent
     s >= r: floor(n / p**i) >= floor(n / q**i) term by term, so
-    Z_p(n) // r >= Z_q(n) // r >= Z_q(n) // s for every n.
+    Z_p(n) // r >= Z_q(n) // r >= Z_q(n) // s for every n.  It is computed
+    from the factorization, never passed in.
     """
 
-    base: int
-    factorization: PrimeFactorization
-    live_parts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.factorization.value != self.base:
+    def __new__(cls, base: int, factorization: PrimeFactorization) -> BaseSpec:
+        if factorization.value != base:
             raise ValueError(
-                f"factorization {self.factorization.factors} does not "
-                f"reconstruct {self.base}"
+                f"factorization {factorization.factors} does not reconstruct {base}"
             )
         # factors ascend by prime: keep a part iff its exponent beats every later one
         live = []
         top = 0
-        for p, r in reversed(self.factorization.factors):
+        for p, r in reversed(factorization.factors):
             if r > top:
                 live.append((p, r))
                 top = r
-        object.__setattr__(self, "live_parts", tuple(reversed(live)))
+        return super().__new__(cls, base, factorization, tuple(reversed(live)))
+
+    def __getnewargs__(self) -> tuple[int, PrimeFactorization]:
+        return self[:2]  # copy and pickle rebuild through __new__, which derives live_parts
 
     @classmethod
     def of(cls, b: "int | BaseSpec") -> "BaseSpec":

@@ -337,6 +337,41 @@ def test_cold_import_and_small_density_leave_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+_HEAVY = ["dataclasses", "argparse", "inspect", "fractions", "json", "csv", "numpy"]
+_LIBRARY = ["factzeros.image", "factzeros.jumps", "factzeros.oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, unloaded",
+    [
+        (["zeros", "--base", "10", "25"], [], _HEAVY + _LIBRARY),
+        (
+            ["gaps", "--base", "10", "--max", "40"],
+            ["factzeros.image"],
+            ["factzeros.oracle", "json", "csv"],
+        ),
+        (["zeros", "--base", "10", "25", "--format", "json"], ["json"], ["csv"]),
+        (
+            ["verify", "--bases", "10", "--n-max", "5", "--format", "csv"],
+            ["factzeros.oracle", "csv"],
+            ["json"],
+        ),
+    ],
+)
+def test_command_loads_only_what_it_runs(argv, loaded, unloaded):
+    script = (
+        "import sys\n"
+        "import factzeros.cli as cli\n"
+        f"code = cli.main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        f"print([m for m in {loaded + unloaded!r} if m in sys.modules], file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == repr(loaded)
+
+
 def test_exit_codes_through_real_processes():
     assert run_process("zeros", "--base", "10", "25").returncode == 0
     assert run_process("zeros", "--base", "0", "25").returncode == 1

@@ -281,6 +281,15 @@ def test_family_verification_needs_no_inversion_or_factorization(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_family_prop3a_builds_a_long_run_quickly():
+    start = time.perf_counter()
+    values = family_prop3a(2, 9000)
+    assert time.perf_counter() - start < 1.0
+    assert len(values) == 8999
+    for k in (1, 2, 4500, 8999):  # the paper's formula, value by value
+        assert values[k - 1] == (2**9000 - k * 2 + k - 1) // (2 - 1)
+
+
 def test_family_values_fail_membership():
     for p in (2, 3, 5):
         for n in range(2, 6):
