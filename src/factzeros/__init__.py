@@ -9,8 +9,7 @@ import sys
 from importlib import import_module
 
 from .arithmetic import (
-    DigitExpansion, PrimeFactorization, digit_sum, digits, factorize, is_prime,
-    successor_digits, trailing_max_digits, valuation,
+    PrimeFactorization, digit_sum, factorize, is_prime, trailing_max_digits, valuation,
 )
 from .zcount import (
     BaseSpec, binding_components, z_base, z_prime, z_prime_digitsum, z_prime_legendre,
@@ -26,15 +25,14 @@ _LAZY_NAMES = {
     "family_cor3 family_prop3a family_prop3b family_prop7 family_prop8 gaps_by_membership "
     "gaps_up_to in_image min_arg_reaching",
     "jumps": "JumpRecord ZDecomposition decompose_z digit_sum_delta is_stationary_prime_power "
-    "jump_amplitude_base jump_amplitude_prime jump_amplitude_prime_power jump_stream",
-    "oracle": "CapacityError OracleConfig factorial_trailing_zeros image_scan trailing_zero_digits",
+    "jump_amplitude_prime jump_amplitude_prime_power jump_stream",
+    "oracle": "CapacityError OracleConfig factorial_trailing_zeros",
 }
 _LAZY = {name: f"{__name__}.{mod}" for mod, names in _LAZY_NAMES.items() for name in names.split()}
 _SUBMODULES = ("arithmetic", "cli", "errors", "image", "jumps", "oracle", "zcount")
 
 __all__ = [
-    "DigitExpansion", "PrimeFactorization", "digit_sum", "digits", "factorize", "is_prime",
-    "successor_digits", "trailing_max_digits", "valuation",
+    "PrimeFactorization", "digit_sum", "factorize", "is_prime", "trailing_max_digits", "valuation",
     "BaseSpec", "binding_components", "z_base", "z_prime", "z_prime_digitsum", "z_prime_legendre",
     "z_prime_power", "z_shift",
     *_LAZY,

@@ -1,7 +1,8 @@
-"""Exact integer primitives: base factorization, p-adic valuation, digit expansions.
+"""Exact integer primitives: base factorization, p-adic valuation, digit sums
+and carry runs.
 
-Everything here is pure and arbitrary precision.  Digit lists are little-endian
-throughout, because carries and trailing-digit runs are read from the low end.
+Everything here is pure and arbitrary precision.  Digits are read from the low
+end, where carries and trailing-digit runs live.
 """
 
 from __future__ import annotations
@@ -185,49 +186,6 @@ def valuation(p: int, n: int) -> int:
     return m
 
 
-class DigitExpansion(namedtuple("DigitExpansion", "base digits")):
-    """Little-endian digits of a non-negative integer in a fixed base.
-
-    The zero value is exactly (0,); otherwise the highest-index digit is
-    nonzero.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, base: int, digits: tuple[int, ...]) -> DigitExpansion:
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
-        if not digits:
-            raise ValueError("digit list must be nonempty")
-        if any(d < 0 or d >= base for d in digits):
-            raise ValueError(f"digits out of range for base {base}")
-        if len(digits) > 1 and digits[-1] == 0:
-            raise ValueError("highest digit must be nonzero")
-        return super().__new__(cls, base, digits)
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.base + d
-        return v
-
-
-def digits(n: int, p: int) -> DigitExpansion:
-    """Base-p expansion of n, little-endian."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
-    if n == 0:
-        return DigitExpansion(p, (0,))
-    ds = []
-    while n:
-        n, d = divmod(n, p)
-        ds.append(d)
-    return DigitExpansion(p, tuple(ds))
-
-
 def digit_sum(n: int, p: int) -> int:
     """Sum of the base-p digits of n."""
     if n < 0:
@@ -257,19 +215,3 @@ def trailing_max_digits(n: int, p: int) -> int:
         n //= p
         t += 1
     return t
-
-
-def successor_digits(d: DigitExpansion) -> DigitExpansion:
-    """Expansion of value+1, computed by the carry rule on the digits alone.
-
-    The run of maximal digits at the low end is zeroed, the next digit is
-    incremented, and everything above is kept.  No integer reconstruction is
-    involved, which is what makes this worth testing against digits(value+1).
-    """
-    p = d.base
-    t = 0
-    while t < len(d.digits) and d.digits[t] == p - 1:
-        t += 1
-    bumped = d.digits[t] + 1 if t < len(d.digits) else 1
-    out = (0,) * t + (bumped,) + d.digits[t + 1 :]
-    return DigitExpansion(p, out)

@@ -36,6 +36,7 @@ FORMAT_ENV_VAR = "FACTZEROS_FORMAT"
 SEQUENCE_COMMANDS = ("zeros", "gaps", "families")  # the commands bfile can render
 
 _MISMATCH_SAMPLE_CAP = 20
+MAX_VERIFY_BASES = 10**5  # the most bases one verify run takes
 
 
 class OutputRecord(namedtuple("OutputRecord", "schema_version command inputs results")):
@@ -84,18 +85,21 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_base_set(text: str) -> list[int]:
-    """Comma-separated integers and a..b ranges, deduped and sorted."""
+    """Comma-separated integers and a..b ranges, deduped and sorted.
+
+    Each token is checked from its endpoints before its bases are built, so
+    the set never holds more than twice MAX_VERIFY_BASES.
+    """
     bases: set[int] = set()
     for token in text.split(","):
         lo, hi = _parse_range(token.strip())
-        bases.update(range(lo, hi + 1))
-    out = sorted(bases)
-    for b in out:
-        if b < 2:
-            raise ValueError(f"base must be >= 2, got {b}")
-    if not out:
-        raise ValueError("empty base set")
-    return out
+        if lo < 2:
+            raise ValueError(f"base must be >= 2, got {lo}")
+        if hi - lo < MAX_VERIFY_BASES:
+            bases.update(range(lo, hi + 1))
+        if hi - lo >= MAX_VERIFY_BASES or len(bases) > MAX_VERIFY_BASES:
+            raise ValueError(f"--bases names more than {MAX_VERIFY_BASES} bases")
+    return sorted(bases)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +260,8 @@ def cmd_families(args) -> int:
 def cmd_density(args) -> int:
     from .image import density_exact
 
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"-k must be >= 1, got {args.k}")
     n_upper = args.N if args.k is None else args.p**args.k - 1
     inputs = {"p": args.p, "k": args.k, "N": n_upper}
     report = density_exact(args.p, n_upper)

@@ -135,17 +135,23 @@ def _check_size(p: int, exponent: int) -> None:
         )
 
 
-def _verified(part: tuple[int, int], l: int, e: int, values: list[int], verify: bool) -> list[int]:
-    """The values, proved unattained in base p**r when verify is set.
+def _repunit(p: int, length: int) -> int:
+    # 1 + p + ... + p**(length-1)
+    return (p**length - 1) // (p - 1)
+
+
+def _run(part: tuple[int, int], l: int, e: int, top: int, length: int, verify: bool) -> list[int]:
+    """The run top - 1, ..., top - length + 1; with verify, proved unattained in base p**r.
 
     Z never decreases, so Z(L - 1) < min(values) and max(values) < Z(L) at the
     jump L = l * p**e prove it; Z_p(L - 1) = Z_p(L) - v_p(L) = Z_p(L) - e - v_p(l).
     """
+    values = [top - h for h in range(1, length)]
     if verify:
         p, r = part
         at = z_shift(p, l, e)
         below, above = (at - e - valuation(p, l)) // r, at // r
-        if not (below < min(values) and max(values) < above):
+        if not (below < values[-1] and values[0] < above):
             raise VerificationError(
                 f"the {len(values)} values are not all skipped by the jump at "
                 f"{l}*{p}**{e} in base {p}**{r}; family is wrong"
@@ -163,9 +169,8 @@ def family_prop3a(p: int, n: int, *, verify: bool = False) -> list[int]:
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
     _check_size(p, n)
-    top = _repunit(p, n)  # (p**n - 1)/(p - 1), so value k is top - k
-    vals = [top - k for k in range(1, n)]
-    return _verified((p, 1), 1, n, vals, verify)
+    # (p**n - 1)/(p - 1) - k is the paper's value k
+    return _run((p, 1), 1, n, _repunit(p, n), n, verify)
 
 
 def family_prop3b(p: int, n: int, k: int, *, verify: bool = False) -> list[int]:
@@ -176,14 +181,7 @@ def family_prop3b(p: int, n: int, k: int, *, verify: bool = False) -> list[int]:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     _check_size(p, k + n)
-    top = (p**k - 1) // (p - 1) * p**n
-    vals = [top - k - h for h in range(1, n)]
-    return _verified((p, 1), p**k - 1, n, vals, verify)
-
-
-def _repunit(p: int, length: int) -> int:
-    # 1 + p + ... + p**(length-1)
-    return (p**length - 1) // (p - 1)
+    return _run((p, 1), p**k - 1, n, _repunit(p, k) * p**n - k, n, verify)
 
 
 def family_prop7(p: int, r: int, k: int, *, verify: bool = False) -> list[int]:
@@ -201,9 +199,7 @@ def family_prop7(p: int, r: int, k: int, *, verify: bool = False) -> list[int]:
     s = _repunit(p, k * r)
     if s % r:
         raise PreconditionError(f"r={r} does not divide the power sum {s}")
-    top = s // r
-    vals = [top - h for h in range(1, k)]
-    return _verified((p, r), 1, k * r, vals, verify)
+    return _run((p, r), 1, k * r, s // r, k, verify)
 
 
 def family_cor2(p: int, k: int, *, verify: bool = False) -> list[int]:
@@ -254,9 +250,7 @@ def family_prop8(p: int, r: int, l: int, k: int, *, verify: bool = False) -> lis
     if l % r:
         raise PreconditionError(f"r={r} does not divide l={l}")
     _check_size(p, k * r + 1)
-    top = (l // r) * _repunit(p, k * r)
-    vals = [top - h for h in range(1, k)]
-    return _verified((p, r), l, k * r, vals, verify)
+    return _run((p, r), l, k * r, (l // r) * _repunit(p, k * r), k, verify)
 
 
 # ---------------------------------------------------------------------------

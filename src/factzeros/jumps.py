@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .arithmetic import _check_prime, trailing_max_digits, valuation
-from .zcount import BaseSpec, _check_n, z_base, z_prime
+from .zcount import BaseSpec, _check_n, z_prime
 
 
 class ZDecomposition(namedtuple("ZDecomposition", "alpha beta modulus")):
@@ -98,17 +98,6 @@ def _component_amplitude(p: int, r: int, n: int) -> int:
     if r == 1:
         return m
     return (m + z_prime(p, n) % r) // r
-
-
-def jump_amplitude_base(b: "int | BaseSpec", n: int) -> int:
-    """z_base(b, n+1) - z_base(b, n), evaluated at both ends.
-
-    No min-of-amplitudes shortcut: the binding part may change across the
-    jump.
-    """
-    spec = BaseSpec.of(b)
-    _check_n(n)
-    return z_base(spec, n + 1) - z_base(spec, n)
 
 
 def jump_stream(b: "int | BaseSpec", n_lo: int, n_hi: int) -> Iterator[JumpRecord]:

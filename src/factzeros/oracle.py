@@ -1,10 +1,9 @@
 """Ground truth by brute force: build n! as a big integer and divide.
 
-Nothing here knows the closed forms.  The factorial is an exact product, the
-trailing-zero count is obtained by exact division by the base, and the
-digit-conversion counter exists purely as a second opinion on the division
-counter.  This module is the referee the fast formulas are checked against,
-so it stays deliberately naive about everything except raw division speed.
+Nothing here knows the closed forms.  The factorial is an exact product and
+the trailing-zero count is obtained by exact division by the base.  This
+module is the referee the fast formulas are checked against, so it stays
+deliberately naive about everything except raw division speed.
 """
 
 from __future__ import annotations
@@ -77,35 +76,3 @@ def factorial_trailing_zeros(b: int, n: int, config: OracleConfig = DEFAULT_CONF
     """Trailing zeros of n! in base b, from the factorial itself."""
     _check_args(b, n, config)
     return _count_divisions(b, _factorial(n))
-
-
-def trailing_zero_digits(b: int, n: int, config: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Same count by full digit conversion of n!: the spot-check path."""
-    _check_args(b, n, config)
-    x = _factorial(n)
-    ds = []
-    while x:
-        x, d = divmod(x, b)
-        ds.append(d)
-    zeros = 0
-    for d in ds:  # little-endian, so the leading run is the trailing zeros
-        if d:
-            break
-        zeros += 1
-    return zeros
-
-
-def image_scan(b: int, n_max: int, *, config: OracleConfig = DEFAULT_CONFIG) -> set[int]:
-    """Set of trailing-zero counts attained by 0!, 1!, ..., n_max!.
-
-    Every point goes through the big-integer product, subject to the
-    capacity bound.
-    """
-    _check_args(b, n_max, config)
-    values = set()
-    f = 1
-    for n in range(n_max + 1):
-        if n:
-            f *= n
-        values.add(_count_divisions(b, f))
-    return values

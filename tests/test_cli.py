@@ -265,6 +265,27 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_density_k_below_1_names_k(capsys, k):
+    code, out, err = run(capsys, "density", "-p", "2", "-k", k)
+    assert code == 1 and out == ""
+    assert err == f"usage error: -k must be >= 1, got {k}\n"
+
+
+def test_verify_base_set_cap(capsys):
+    cap = cli.MAX_VERIFY_BASES
+    code, out, _ = run(capsys, "verify", "--bases", f"2..{cap + 1}", "--n-max", "0")
+    assert code == 0 and f"checked={cap} " in out
+    start = time.perf_counter()
+    for bases in [f"2..{cap + 2}", f"2..{cap // 2},{cap // 4}..{cap + 2}", "2..1000000000000"]:
+        code, out, err = run(capsys, "verify", "--bases", bases, "--n-max", "0")
+        assert code == 1 and out == ""
+        assert err == f"usage error: --bases names more than {cap} bases\n"
+    assert time.perf_counter() - start < 1.0
+    code, _, err = run(capsys, "verify", "--bases", "1..1000000000000", "--n-max", "0")
+    assert code == 1 and err == "usage error: base must be >= 2, got 1\n"
+
+
 def test_family_above_size_cap_exits_1_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "families", "cor3", "-q", "100003")
@@ -281,11 +302,11 @@ def test_family_precondition_exits_4(capsys):
 
 
 def test_failed_family_or_density_check_exits_3(capsys, monkeypatch):
-    real_verified = image._verified
+    real_run = image._run
     monkeypatch.setattr(
         image,
-        "_verified",
-        lambda part, l, e, v, verify: real_verified(part, l, e, v + [max(v) + 1], verify),
+        "_run",
+        lambda part, l, e, top, length, verify: real_run(part, l, e, top + 1, length + 1, verify),
     )
     code, out, err = run(capsys, "families", "prop3a", "-p", "2", "-n", "3", "--verify")
     assert code == 3 and out == ""
@@ -405,6 +426,39 @@ def test_bfile_golden_is_byte_exact():
     assert proc.stdout == golden
     assert b"\r" not in proc.stdout
     assert max(proc.stdout) < 128  # pure ASCII
+
+
+# name -> (argv, exit code); each case runs in every format its command
+# accepts, and its output must equal tests/golden/<name>.<format> byte for byte
+GOLDEN_CASES = {
+    "zeros": (["zeros", "--base", "12", "0..20", "25"], 0),
+    "jumps": (["jumps", "--base", "12", "--from", "10", "--to", "60"], 0),
+    "member": (["member", "--base", "10", "6"], 0),
+    "non_member": (["member", "--base", "10", "5"], 2),
+    "gaps": (["gaps", "--base", "6", "--max", "40"], 0),
+    "families": (["families", "prop3b", "-p", "3", "-n", "4", "-k", "2"], 0),
+    "families_verify": (
+        ["families", "prop8", "-p", "5", "-r", "2", "-l", "4", "-k", "3", "--verify"], 0,
+    ),
+    "density": (["density", "-p", "3", "-k", "3"], 0),
+    "verify": (["verify", "--bases", "2..6,10", "--n-max", "20"], 0),
+}
+GOLDEN_RUNS = [
+    (name, fmt)
+    for name, (argv, _) in GOLDEN_CASES.items()
+    for fmt in cli.FORMATS
+    if fmt != "bfile" or argv[0] in cli.SEQUENCE_COMMANDS
+]
+
+
+@pytest.mark.parametrize("name, fmt", GOLDEN_RUNS)
+def test_every_command_and_format_matches_its_golden_file(name, fmt):
+    argv, code = GOLDEN_CASES[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "factzeros", *argv, "--format", fmt], capture_output=True
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 def test_json_round_trips_across_commands(capsys):

@@ -224,10 +224,14 @@ _EVERY_FAMILY = [
 def test_families_verify_mode_detects_members(monkeypatch):
     # a family whose run is widened by one value at either end contains an
     # attained value, and verify=True must refuse it
-    real = image._verified
-    for widen in (lambda v: v + [max(v) + 1], lambda v: [min(v) - 1] + v):
+    real = image._run
+    for top_shift in (1, 0):  # one more value above the run, or below it
         monkeypatch.setattr(
-            image, "_verified", lambda part, l, e, v, verify: real(part, l, e, widen(v), verify)
+            image,
+            "_run",
+            lambda part, l, e, top, length, verify: real(
+                part, l, e, top + top_shift, length + 1, verify
+            ),
         )
         for family, args in _EVERY_FAMILY:
             with pytest.raises(RuntimeError):
@@ -252,7 +256,7 @@ def test_location_check_agrees_with_membership(p, r, l, e, lo_shift, hi_shift):
     values = list(range(lo, hi + 1))
     skipped = all(not in_image(b, v).member for v in values)
     try:
-        image._verified((p, r), l, e, values, True)
+        assert image._run((p, r), l, e, hi + 1, hi - lo + 2, True) == values[::-1]
         proved = True
     except VerificationError:
         proved = False

@@ -10,12 +10,12 @@ from factzeros.jumps import (
     decompose_z,
     digit_sum_delta,
     is_stationary_prime_power,
-    jump_amplitude_base,
     jump_amplitude_prime,
     jump_amplitude_prime_power,
     jump_stream,
 )
 from factzeros.zcount import z_base, z_prime, z_prime_legendre, z_prime_power
+from reference import jump_amplitude_base
 
 PP_GRID = [(2, 2), (2, 3), (3, 2), (5, 2)]
 

@@ -43,8 +43,8 @@ def test_rebinding_in_a_submodule_shows_through_the_package(monkeypatch):
 
 def test_records_keep_constructors_and_stay_immutable():
     from factzeros import (
-        BaseSpec, DensityReport, DigitExpansion, JumpRecord, MembershipResult, OracleConfig,
-        ZDecomposition, factorize,
+        BaseSpec, DensityReport, JumpRecord, MembershipResult, OracleConfig, ZDecomposition,
+        factorize,
     )
     from factzeros.cli import OutputRecord
 
@@ -60,7 +60,6 @@ def test_records_keep_constructors_and_stay_immutable():
         result,
         OracleConfig(),
         factorize(12),
-        DigitExpansion(10, (5, 2)),
         ZDecomposition(alpha=2, beta=1, modulus=3),
         JumpRecord(location=25, per_component={(5, 1): 2}, composite_amplitude=2),
         DensityReport(2, 15, 9, 10, None),
