@@ -6,8 +6,8 @@ with a gallop-plus-bisect search (monotonicity is all that is needed);
 gap enumeration walks the jump stream and records skipped values.  Each
 family generator produces the values skipped by one jump whose location the
 paper names; verify=True proves the whole run unattained with two counts at
-that location.  Density counts image members up to N by two routes that
-share no counting logic, and refuses to answer unless they agree.
+that location.  Density counts image members up to N by one walk over the
+attained values and refuses to answer unless two Legendre sums certify it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import namedtuple
 from .arithmetic import _check_prime, is_prime, valuation
 from .errors import PreconditionError, VerificationError
 from .jumps import jump_stream
-from .zcount import BaseSpec, _check_n, z_base, z_prime, z_shift
+from .zcount import BaseSpec, _check_n, z_base, z_prime_legendre, z_shift
 
 
 class MembershipResult(namedtuple("MembershipResult", "z member witness bracket")):
@@ -49,7 +49,7 @@ class DensityReport(namedtuple("DensityReport", "p N a_exact a_paper_formula rat
     """Exact image count in [0, N] next to the closed-form prediction for it.
 
     a_paper_formula is None unless N + 1 is a power of p; ratio is a_exact / N as a
-    Fraction.  The two exact counting routes must have agreed for this report to exist.
+    Fraction.  a_exact has passed its Legendre certificate for this report to exist.
     """
 
     __slots__ = ()
@@ -256,13 +256,6 @@ def family_prop8(p: int, r: int, l: int, k: int, *, verify: bool = False) -> lis
 # ---------------------------------------------------------------------------
 # image density
 
-# Above these sizes the counting loops switch to numpy chunks; the chunked
-# paths replicate the scalar walks exactly and are tested against them.
-# numpy is imported only there, so nothing below these sizes loads it.
-_SCALAR_SCAN_LIMIT = 1 << 17
-_SCALAR_WALK_LIMIT = 1 << 15
-_CHUNK = 1 << 21
-
 
 def density_paper_formula(p: int, k: int) -> int:
     """Closed-form predicted count for N = p**k - 1, reported for comparison."""
@@ -284,118 +277,33 @@ def _power_index(p: int, N: int) -> int | None:
 def density_exact(p: int, N: int) -> DensityReport:
     """Exact count of attained values in [0, N] for a prime base.
 
-    Counts twice, by jump-walk subtraction and by direct value scan, and
-    raises if the routes ever disagree.
+    The attained values are f(m) = Z_p(m*p) = m + Z_p(m), m >= 0, strictly
+    increasing, so the count is the a with f(a - 1) <= N < f(a).  A walk over m
+    finds a; two Legendre sums then certify that bracket, or this raises.
     """
     _check_prime(p)
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    a_walk = _count_by_jump_walk(p, N)
-    a_scan = _count_by_value_scan(p, N)
-    if a_walk != a_scan:
+    a = _count_attained(p, N)
+    if not (a >= 1 and a - 1 + z_prime_legendre(p, a - 1) <= N < a + z_prime_legendre(p, a)):
         raise VerificationError(
-            f"density counts disagree for p={p}, N={N}: walk {a_walk}, scan {a_scan}"
+            f"density count {a} for p={p}, N={N} fails its certificate f(a - 1) <= N < f(a)"
         )
     from fractions import Fraction
 
     k = _power_index(p, N)
     formula = density_paper_formula(p, k) if k is not None else None
-    return DensityReport(p, N, a_walk, formula, Fraction(a_walk, N))
+    return DensityReport(p, N, a, formula, Fraction(a, N))
 
 
-def _count_by_jump_walk(p: int, N: int) -> int:
-    """Image members <= N as N + 1 minus the values skipped by jumps."""
-    spec = BaseSpec.of(p)
-    bound = min_arg_reaching(spec, N)
-    if bound // p <= _SCALAR_WALK_LIMIT:
-        skipped = 0
-        prev = 0
-        for rec in jump_stream(spec, 0, bound):
-            after = prev + rec.composite_amplitude
-            top = min(after - 1, N)
-            if top > prev:
-                skipped += top - prev
-            prev = after
-            if prev >= N:
-                break
-        return N + 1 - skipped
-    return _count_by_jump_walk_np(p, N, bound)
-
-
-def _count_by_jump_walk_np(p: int, N: int, bound: int) -> int:
-    import numpy as np
-
-    # same walk, chunked: locations are the multiples of p, amplitudes their
-    # valuations, and the running value is the cumulative amplitude sum
-    skipped = 0
-    prev = 0
-    lo = p
-    while True:
-        arr = np.arange(lo, min(lo + _CHUNK * p, bound + p), p, dtype=np.int64)
-        amp = np.ones(arr.shape, dtype=np.int64)
-        m = arr // p
-        idx = np.flatnonzero(m % p == 0)
-        while idx.size:
-            m[idx] //= p
-            amp[idx] += 1
-            idx = idx[m[idx] % p == 0]
-        cum = np.cumsum(amp) + prev
-        last = int(cum[-1])
-        if last < N:
-            skipped += last - prev - len(arr)
-            prev = last
-            lo = int(arr[-1]) + p
-            continue
-        i = int(np.searchsorted(cum, N, side="left"))
-        before = int(cum[i - 1]) if i else prev
-        skipped += (before - prev) - i
-        top = min(int(cum[i]) - 1, N)
-        if top > before:
-            skipped += top - before
-        return N + 1 - skipped
-
-
-def _count_by_value_scan(p: int, N: int) -> int:
-    """Image members <= N by evaluating the count at every n and deduplicating."""
-    spec = BaseSpec.of(p)
-    stop = min_arg_reaching(spec, N + 1)
-    if stop <= _SCALAR_SCAN_LIMIT:
-        count = 0
-        last = -1
-        for n in range(stop + 1):
-            v = z_prime(p, n)
-            if v > N:
-                break
-            if v != last:
-                count += 1
-                last = v
-        return count
-    return _count_by_value_scan_np(p, N, stop)
-
-
-def _count_by_value_scan_np(p: int, N: int, stop: int) -> int:
-    import numpy as np
-
-    dtype = np.int32 if stop < 2**31 - 1 else np.int64
-    count = 0
-    last = -1
-    lo = 0
-    while lo <= stop:
-        arr = np.arange(lo, min(lo + _CHUNK, stop + 1), dtype=dtype)
-        s = arr % p
-        m = arr // p
-        while m.any():
-            s += m % p
-            m //= p
-        v = (arr - s) // (p - 1)
-        cut = int(np.searchsorted(v, N, side="right"))
-        vv = v[:cut]
-        if vv.size:
-            if int(vv[0]) != last:
-                count += 1
-            count += int(np.count_nonzero(vv[1:] > vv[:-1]))
-            last = int(vv[-1])
-        if cut < v.size:
-            break
-        lo += _CHUNK
-    return count
+def _count_attained(p: int, N: int) -> int:
+    """The least m with f(m) > N, adding f(m) - f(m - 1) = 1 + v_p(m) from f(0) = 0."""
+    f = 0
+    for m in range(1, N + 2):  # f(m) >= m, so the walk ends by m = N + 1
+        f += 1
+        q = m
+        while not q % p:
+            q //= p
+            f += 1
+        if f > N:
+            return m

@@ -232,7 +232,7 @@ def test_criterion_08_families_avoid_the_image(announce):
 
 
 def test_criterion_09_density_routes_agree(announce):
-    # density_exact raises internally if its two counting routes disagree
+    # density_exact raises internally unless two Legendre sums certify its count walk
     reports = {}
     for p in (2, 3, 5):
         for k in range(1, 13):
@@ -244,7 +244,7 @@ def test_criterion_09_density_routes_agree(announce):
         and reports[(2, 4)].a_paper_formula == 10
         and reports[(2, 4)].divergence is True
     )
-    announce(9, anchored, "two routes agree for p in {2,3,5}, k<=12; k=4 split pinned")
+    announce(9, anchored, "count walk Legendre-certified for p in {2,3,5}, k<=12; k=4 split pinned")
     assert anchored, reports[(2, 4)]
 
 

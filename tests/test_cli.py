@@ -10,6 +10,7 @@ import pytest
 
 import factzeros.cli as cli
 import factzeros.image as image
+import factzeros.zcount as zcount
 from factzeros.cli import OutputRecord, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,6 +187,17 @@ def test_verify_clean_run(capsys):
     assert "checked=164" in out and "mismatches=0" in out
 
 
+def test_verify_factorizes_each_base_once(capsys, monkeypatch):
+    # 1,025 bases outgrow the 1,024-entry spec cache; z_base must not refactorize per n
+    calls = []
+    real = zcount.factorize
+    monkeypatch.setattr(zcount, "factorize", lambda b: calls.append(b) or real(b))
+    zcount._spec_from_int.cache_clear()
+    code, out, _ = run(capsys, "verify", "--bases", "2..1026", "--n-max", "20")
+    assert code == 0 and "checked=21525 mismatches=0" in out
+    assert len(calls) <= 1025
+
+
 def test_verify_reports_mismatch(capsys, monkeypatch):
     real = cli.z_base
     monkeypatch.setattr(cli, "z_base", lambda b, n: real(b, n) + (n == 7))
@@ -311,8 +323,8 @@ def test_failed_family_or_density_check_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "families", "prop3a", "-p", "2", "-n", "3", "--verify")
     assert code == 3 and out == ""
     assert err.startswith("verification failed:") and len(err.splitlines()) == 1
-    real_scan = image._count_by_value_scan
-    monkeypatch.setattr(image, "_count_by_value_scan", lambda p, N: real_scan(p, N) + 1)
+    real_count = image._count_attained
+    monkeypatch.setattr(image, "_count_attained", lambda p, N: real_count(p, N) + 1)
     code, out, err = run(capsys, "density", "-p", "2", "-k", "4")
     assert code == 3 and out == ""
     assert err.startswith("verification failed:") and len(err.splitlines()) == 1
@@ -346,16 +358,18 @@ def test_prime_parameter_at_primality_bound_exits_1(capsys):
 
 
 def test_cold_import_and_small_density_leave_numpy_unloaded():
-    script = (
-        "import sys\n"
-        "import factzeros.cli\n"
-        "from factzeros import density_exact\n"
-        "density_exact(2, 15)\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == "False\n"
+    # 2**21 - 1 is the largest density job of the walk benchmark; no size loads numpy
+    for N in ("15", "2**21 - 1"):
+        script = (
+            "import sys\n"
+            "import factzeros.cli\n"
+            "from factzeros import density_exact\n"
+            f"density_exact(2, {N})\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
 
 
 _HEAVY = ["dataclasses", "argparse", "inspect", "fractions", "json", "csv", "numpy"]

@@ -1,7 +1,9 @@
 """Membership, gaps, non-attained families, and exact density counts."""
 
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +30,7 @@ from factzeros.image import (
     min_arg_reaching,
 )
 from factzeros.zcount import z_base, z_prime
+from reference import attained_by_scan, density_by_scan
 
 
 @pytest.mark.parametrize("b, z, expected", [(10, 5, 25), (2, 3, 4), (7, 0, 0)])
@@ -341,13 +344,27 @@ def test_density_matches_brute_force():
             assert density_exact(p, N).a_exact == expected
 
 
-def test_density_vector_paths_match_scalar(monkeypatch):
-    baseline = {(p, N): density_exact(p, N).a_exact for p in (2, 3) for N in (63, 500, 728)}
-    monkeypatch.setattr(image, "_SCALAR_SCAN_LIMIT", 0)
-    monkeypatch.setattr(image, "_SCALAR_WALK_LIMIT", 0)
-    monkeypatch.setattr(image, "_CHUNK", 64)
-    for (p, N), expected in baseline.items():
-        assert density_exact(p, N).a_exact == expected
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_density_matches_scan_below_3000(p):
+    # density_by_scan(p, N) for every N at once: one scan, counted by bisection
+    values = list(takewhile(lambda v: v < 3000, attained_by_scan(p)))
+    for N in range(1, 3000):
+        assert density_exact(p, N).a_exact == bisect_right(values, N)
+
+
+@given(st.sampled_from([p for p in range(2, 200) if arithmetic.is_prime(p)]), st.integers(1, 19_999))
+@settings(max_examples=100, deadline=None)
+def test_density_matches_scan_property(p, N):
+    assert density_exact(p, N).a_exact == density_by_scan(p, N)
+
+
+@pytest.mark.parametrize("p, N", [(2, 15), (3, 80), (7, 2400), (101, 10**4)])
+@pytest.mark.parametrize("off", [-1, 1])
+def test_density_certificate_rejects_a_count_off_by_one(monkeypatch, p, N, off):
+    real_count = image._count_attained
+    monkeypatch.setattr(image, "_count_attained", lambda p, N: real_count(p, N) + off)
+    with pytest.raises(VerificationError, match="certificate"):
+        density_exact(p, N)
 
 
 def test_density_rejects_bad_inputs():
