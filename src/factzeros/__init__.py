@@ -12,8 +12,7 @@ from .arithmetic import (
     PrimeFactorization, digit_sum, factorize, is_prime, trailing_max_digits, valuation,
 )
 from .zcount import (
-    BaseSpec, binding_components, z_base, z_prime, z_prime_digitsum, z_prime_legendre,
-    z_prime_power, z_shift,
+    BaseSpec, z_base, z_prime, z_prime_digitsum, z_prime_legendre, z_prime_power, z_shift,
 )
 
 __version__ = "0.1.0"
@@ -33,8 +32,8 @@ _SUBMODULES = ("arithmetic", "cli", "errors", "image", "jumps", "oracle", "zcoun
 
 __all__ = [
     "PrimeFactorization", "digit_sum", "factorize", "is_prime", "trailing_max_digits", "valuation",
-    "BaseSpec", "binding_components", "z_base", "z_prime", "z_prime_digitsum", "z_prime_legendre",
-    "z_prime_power", "z_shift",
+    "BaseSpec", "z_base", "z_prime", "z_prime_digitsum", "z_prime_legendre", "z_prime_power",
+    "z_shift",
     *_LAZY,
 ]
 

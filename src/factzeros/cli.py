@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 
 from .errors import PreconditionError, VerificationError
-from .zcount import BaseSpec, z_base
+from .zcount import BaseSpec, _check_n, z_base
 
 SCHEMA_VERSION = "1"
 
@@ -140,10 +140,12 @@ def _components_text(components: list[dict], sep: str) -> str:
 
 def cmd_zeros(args) -> int:
     spec = BaseSpec.of(args.base)
+    ranges = [_parse_range(token) for token in args.n]  # every token is refused before output
+    for lo, _ in ranges:
+        _check_n(lo)
 
     def rows() -> Iterator[Row]:
-        for token in args.n:
-            lo, hi = _parse_range(token)
+        for lo, hi in ranges:
             bare = lo == hi
             for n in range(lo, hi + 1):
                 z = z_base(spec, n)
@@ -158,6 +160,9 @@ def cmd_jumps(args) -> int:
     from .jumps import jump_stream
 
     spec = BaseSpec.of(args.base)
+    if args.n_lo > args.n_hi:  # jump_stream, a generator, would check only on its first read
+        raise ValueError(f"empty range bounds reversed: {args.n_lo} > {args.n_hi}")
+    _check_n(args.n_lo)
     inputs = {"base": spec.base, "from": args.n_lo, "to": args.n_hi}
 
     def rows() -> Iterator[Row]:
@@ -201,13 +206,14 @@ def cmd_member(args) -> int:
 
 
 def cmd_gaps(args) -> int:
-    from .image import gaps_up_to
+    from .image import _gaps
 
     spec = BaseSpec.of(args.base)
+    _check_n(args.z_max)
     inputs = {"base": spec.base, "z_max": args.z_max}
 
-    def rows() -> Iterator[Row]:
-        for i, gap in enumerate(gaps_up_to(spec, args.z_max), start=1):
+    def rows() -> Iterator[Row]:  # streamed: each gap is written as soon as it is found
+        for i, gap in enumerate(_gaps(spec, args.z_max), start=1):
             rec = make_record("gaps", inputs, {"index": i, "gap": gap})
             yield rec, str(gap), [i, gap]
 

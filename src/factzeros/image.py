@@ -2,21 +2,23 @@
 
 The count for a fixed base is non-decreasing in n but skips values, so its
 image has gaps.  Membership of a target z is decided by inverting the count
-with a gallop-plus-bisect search (monotonicity is all that is needed);
-gap enumeration walks the jump stream and records skipped values.  Each
-family generator produces the values skipped by one jump whose location the
-paper names; verify=True proves the whole run unattained with two counts at
-that location.  Density counts image members up to N by one walk over the
-attained values and refuses to answer unless two Legendre sums certify it.
+with a gallop-plus-bisect search (monotonicity is all that is needed).
+Gaps need only the count itself: a part p**r steps by 2 or more only at a
+multiple of p**(r+1), so the skipped runs are read off z_base on both sides
+of those points alone, one gap at a time.  Each family generator produces
+the values skipped by one jump whose location the paper names; verify=True
+proves the whole run unattained with two counts at that location.  Density
+counts image members up to N by one walk over the attained values and
+refuses to answer unless two Legendre sums certify it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .arithmetic import _check_prime, is_prime, valuation
 from .errors import PreconditionError, VerificationError
-from .jumps import jump_stream
 from .zcount import BaseSpec, _check_n, z_base, z_prime_legendre, z_shift
 
 
@@ -95,23 +97,31 @@ def gaps_by_membership(b: "int | BaseSpec", z_max: int) -> list[int]:
 
 
 def gaps_up_to(b: "int | BaseSpec", z_max: int) -> list[int]:
-    """All z <= z_max never attained in base b, by walking the jump stream.
-
-    Each jump from value v to v+a skips v+1 .. v+a-1; collecting those while
-    the running value is below z_max yields every gap.
-    """
+    """All z <= z_max never attained in base b, ascending."""
     spec = BaseSpec.of(b)
     _check_n(z_max)
-    gaps: list[int] = []
-    if z_max > 0:
-        prev = 0
-        for rec in jump_stream(spec, 0, min_arg_reaching(spec, z_max)):
-            after = prev + rec.composite_amplitude
-            gaps.extend(range(prev + 1, min(after - 1, z_max) + 1))
-            prev = after
-            if prev >= z_max:
-                break
-    return gaps
+    return list(_gaps(spec, z_max))
+
+
+def _gaps(spec: BaseSpec, z_max: int) -> Iterator[int]:
+    """The gaps up to z_max, ascending, read off z_base at the points where one can open.
+
+    A part p**r steps at n by floor((v_p(n) + beta)/r) with beta < r, so by 2
+    or more only where p**(r+1) divides n.  A jump of 2 or more in the minimum
+    is such a step of a part that binds at n - 1, and some live part binds
+    there (a dropped part never falls below the live part that dominates it).
+    So every gap lies strictly between z_base(n - 1) and z_base(n) at a
+    multiple n of p**(r+1) for a live part; equal multiples are taken once.
+    """
+    steps = [p ** (r + 1) for p, r in spec.live_parts]
+    nxt = steps
+    while True:
+        n = min(nxt)
+        below = z_base(spec, n - 1)
+        if below >= z_max:
+            return
+        yield from range(below + 1, min(z_base(spec, n), z_max + 1))
+        nxt = [m + step if m == n else m for m, step in zip(nxt, steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +276,8 @@ def density_paper_formula(p: int, k: int) -> int:
 
 
 def _power_index(p: int, N: int) -> int | None:
-    m = N + 1
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    return k if m == 1 and k >= 1 else None
+    k = valuation(p, N + 1)
+    return k if p**k == N + 1 else None  # N >= 1, so k = 0 never passes
 
 
 def density_exact(p: int, N: int) -> DensityReport:

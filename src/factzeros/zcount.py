@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .arithmetic import PrimeFactorization, _check_prime, factorize
+from .arithmetic import PrimeFactorization, _check_prime, digit_sum, factorize
 
 
 class BaseSpec(namedtuple("BaseSpec", "base factorization live_parts")):
@@ -89,12 +89,7 @@ def z_prime_digitsum(p: int, n: int) -> int:
     _check_n(n)
     if p == 2:
         return n - n.bit_count()
-    s = 0
-    m = n
-    while m:
-        m, d = divmod(m, p)
-        s += d
-    return (n - s) // (p - 1)
+    return (n - digit_sum(n, p)) // (p - 1)
 
 
 # default prime route; the floored-sum form stays available for cross-checks
@@ -125,18 +120,6 @@ def z_base(b: "int | BaseSpec", n: int) -> int:
                 break
     assert best is not None
     return best
-
-
-def binding_components(b: "int | BaseSpec", n: int) -> set[tuple[int, int]]:
-    """The (prime, exponent) parts of b that achieve the minimum in z_base.
-
-    Every part is evaluated, not only the live ones: a dropped part can tie.
-    """
-    spec = BaseSpec.of(b)
-    _check_n(n)
-    per = [(p, r, z_prime_digitsum(p, n) // r) for p, r in spec.factorization.factors]
-    zmin = min(z for _, _, z in per)
-    return {(p, r) for p, r, z in per if z == zmin}
 
 
 def z_shift(p: int, l: int, n: int) -> int:

@@ -277,6 +277,25 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaps", "--base", "10", "--max", "-1"],
+        ["jumps", "--base", "10", "--from", "5", "--to", "1"],
+        ["jumps", "--base", "10", "--from", "-5", "--to", "1"],
+        ["zeros", "--base", "10", "3", "-5"],
+        ["zeros", "--base", "10", "3", "5..2"],
+        ["zeros", "--base", "10", "3", "2..x"],
+        ["zeros", "--base", "10", "3", "x"],
+    ],
+)
+def test_refused_range_command_writes_nothing(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ")
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_density_k_below_1_names_k(capsys, k):
     code, out, err = run(capsys, "density", "-p", "2", "-k", k)
@@ -383,7 +402,14 @@ _LIBRARY = ["factzeros.image", "factzeros.jumps", "factzeros.oracle"]
         (
             ["gaps", "--base", "10", "--max", "40"],
             ["factzeros.image"],
-            ["factzeros.oracle", "json", "csv"],
+            ["factzeros.jumps", "factzeros.oracle", "json", "csv"],
+        ),
+        (["member", "--base", "10", "6"], ["factzeros.image"], ["factzeros.jumps"]),
+        (["density", "-p", "2", "-k", "3"], ["factzeros.image"], ["factzeros.jumps"]),
+        (
+            ["families", "prop3a", "-p", "2", "-n", "5", "--verify"],
+            ["factzeros.image"],
+            ["factzeros.jumps", "factzeros.oracle"],
         ),
         (["zeros", "--base", "10", "25", "--format", "json"], ["json"], ["csv"]),
         (
@@ -428,6 +454,28 @@ def test_console_output_matches_in_process():
     proc = run_process("gaps", "--base", "2", "--max", "15")
     assert proc.returncode == 0
     assert proc.stdout == "2\n5\n6\n9\n12\n13\n14\n"
+
+
+def test_gaps_stream_into_a_closed_pipe():
+    # builds no list: the first gaps of an astronomically long answer come at once
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "factzeros", "gaps", "--base", "10", "--max", str(10**18)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()  # the reader goes away, as `head -n 3` does
+        code = proc.wait(timeout=10)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert lines == ["5\n", "11\n", "17\n"]
+    assert code == 0 and err == ""
+    assert time.perf_counter() - start < 10
 
 
 def test_bfile_golden_is_byte_exact():

@@ -30,7 +30,7 @@ from factzeros.image import (
     min_arg_reaching,
 )
 from factzeros.zcount import z_base, z_prime
-from reference import attained_by_scan, density_by_scan
+from reference import attained_by_scan, density_by_scan, gaps_by_jump_walk
 
 
 @pytest.mark.parametrize("b, z, expected", [(10, 5, 25), (2, 3, 4), (7, 0, 0)])
@@ -112,6 +112,35 @@ def test_gaps_complement_scan():
         attained = {z_base(b, n) for n in range(0, min_arg_reaching(b, 101) + 1)}
         gaps = set(gaps_up_to(b, 100))
         assert gaps == set(range(0, 101)) - attained
+
+
+def test_gaps_match_jump_walk_below_200():
+    for b in range(2, 200):
+        assert gaps_up_to(b, 1500) == gaps_by_jump_walk(b, 1500), b
+
+
+@st.composite
+def prime_power_parts(draw):
+    """Parts of a base: prime powers alone, parts that are dropped and tie, 64-bit primes.
+
+    A 64-bit prime p**s comes with small parts of exponent at most s, all dropped;
+    a small live part beside it would make the jump walk run for about p steps.
+    """
+    small = st.sampled_from([2, 3, 5, 7, 11, 13])
+    parts = draw(st.dictionaries(small, st.integers(1, 5), min_size=1, max_size=4))
+    big = draw(st.sampled_from([None, None, 2**61 - 1, 2**64 - 59]))
+    if big is not None:
+        s = draw(st.integers(1, 5))
+        parts = {p: min(r, s) for p, r in parts.items()} | {big: s}
+    return parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_power_parts(), st.integers(min_value=0, max_value=2000))
+def test_gaps_match_jump_walk_property(parts, z_max):
+    f = arithmetic.PrimeFactorization(tuple(sorted(parts.items())))
+    spec = zcount.BaseSpec(f.value, f)
+    assert gaps_up_to(spec, z_max) == gaps_by_jump_walk(spec, z_max)
 
 
 # --- families ---------------------------------------------------------------

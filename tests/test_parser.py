@@ -105,11 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+_PARSERS = {}  # FACTZEROS_FORMAT value -> the parser built under it, which reads it once
+
+
 def reference(argv, env):
     """argparse's reading, plus the format checks the table parser makes at parse time."""
     with _environment(env), contextlib.redirect_stdout(io.StringIO()):
+        if env not in _PARSERS:
+            _PARSERS[env] = build_parser()
         try:
-            args = build_parser().parse_args(argv)
+            args = _PARSERS[env].parse_args(argv)
         except _UsageError:
             return "refused"
         except SystemExit as e:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from factzeros.arithmetic import PrimeFactorization
 from factzeros.zcount import (
     BaseSpec,
-    binding_components,
     z_base,
     z_prime,
     z_prime_digitsum,
@@ -15,6 +14,7 @@ from factzeros.zcount import (
     z_prime_power,
     z_shift,
 )
+from reference import binding_components
 
 PRIMES = [2, 3, 5, 7, 13]
 
