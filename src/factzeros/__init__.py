@@ -25,7 +25,7 @@ _LAZY_NAMES = {
     "gaps_up_to in_image min_arg_reaching",
     "jumps": "JumpRecord ZDecomposition decompose_z digit_sum_delta is_stationary_prime_power "
     "jump_amplitude_prime jump_amplitude_prime_power jump_stream",
-    "oracle": "CapacityError OracleConfig factorial_trailing_zeros",
+    "oracle": "CapacityError factorial_trailing_zeros",
 }
 _LAZY = {name: f"{__name__}.{mod}" for mod, names in _LAZY_NAMES.items() for name in names.split()}
 _SUBMODULES = ("arithmetic", "cli", "errors", "image", "jumps", "oracle", "zcount")

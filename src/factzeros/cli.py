@@ -293,26 +293,30 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import OracleConfig, factorial_trailing_zeros
+    from heapq import nsmallest
+
+    from .oracle import _zeros_along
 
     bases = _parse_base_set(args.bases)
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-    config = OracleConfig(n_max=max(1, args.n_max))
-    checked = 0
+    specs = [BaseSpec.of(b) for b in bases]  # a bad base is refused before any check
+    checked = len(bases) * (args.n_max + 1)
     mismatches = 0
-    sample = []
-    # z_base's spec cache holds 1,024 bases: past that, coercing per n would refactorize
-    specs = [BaseSpec.of(b) for b in bases]
-    for n in range(args.n_max + 1):
-        for b, spec in zip(bases, specs):
-            expected = factorial_trailing_zeros(b, n, config)
-            got = z_base(spec, n)
-            checked += 1
-            if got != expected:
-                mismatches += 1
-                if len(sample) < _MISMATCH_SAMPLE_CAP:
-                    sample.append({"base": b, "n": n, "oracle": expected, "closed_form": got})
+
+    def found():  # one oracle stream per base, one base at a time: one n!/b**e is alive
+        nonlocal mismatches
+        for i, (b, spec) in enumerate(zip(bases, specs)):
+            for n, expected in enumerate(_zeros_along(b, args.n_max)):
+                got = z_base(spec, n)
+                if got != expected:
+                    mismatches += 1
+                    yield n, i, expected, got
+
+    sample = [  # the first mismatches in (n, base) order
+        {"base": bases[i], "n": n, "oracle": expected, "closed_form": got}
+        for n, i, expected, got in nsmallest(_MISMATCH_SAMPLE_CAP, found())
+    ]
     inputs = {"bases": bases, "n_max": args.n_max}
     results = {"checked": checked, "mismatches": mismatches, "mismatch_sample": sample}
     txt = f"bases={args.bases} n_max={args.n_max} checked={checked} mismatches={mismatches}"

@@ -221,6 +221,20 @@ def test_verify_json_mismatch_sample(capsys, monkeypatch):
     }
 
 
+
+def test_verify_samples_mismatches_in_n_then_base_order(capsys, monkeypatch):
+    # the oracle streams one base at a time; the sample keeps the (n, base) order
+    real = cli.z_base
+    monkeypatch.setattr(cli, "z_base", lambda b, n: real(b, n) + (n >= 3))
+    code, out, _ = run(capsys, "verify", "--bases", "2..30", "--n-max", "10", "--format", "json")
+    rec = OutputRecord.from_json(out.strip())
+    assert code == 3
+    assert rec.results["checked"] == 29 * 11 and rec.results["mismatches"] == 29 * 8 == 232
+    sample = rec.results["mismatch_sample"]
+    assert [(m["n"], m["base"]) for m in sample] == [(3, b) for b in range(2, 22)]
+    assert all(m["closed_form"] == m["oracle"] + 1 for m in sample)
+
+
 # --- format selection -------------------------------------------------------
 
 
@@ -448,6 +462,15 @@ def test_verify_mismatch_through_real_process():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 3
+
+
+def test_verify_past_the_point_query_bound_ends_quickly():
+    # the oracle carries n!/b**e along n, so verify is not held to oracle.N_MAX
+    start = time.perf_counter()
+    proc = run_process("verify", "--bases", "2..36", "--n-max", "3000")
+    assert proc.returncode == 0, proc.stderr
+    assert "checked=105035 mismatches=0" in proc.stdout
+    assert time.perf_counter() - start < 10
 
 
 def test_console_output_matches_in_process():

@@ -21,6 +21,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError):
         factzeros.no_such_name
     assert not hasattr(factzeros, "dataclass")
+    assert not hasattr(factzeros, "OracleConfig")  # the oracle's bound is oracle.N_MAX
 
 
 def test_exceptions_keep_one_identity():
@@ -43,22 +44,19 @@ def test_rebinding_in_a_submodule_shows_through_the_package(monkeypatch):
 
 def test_records_keep_constructors_and_stay_immutable():
     from factzeros import (
-        BaseSpec, DensityReport, JumpRecord, MembershipResult, OracleConfig, ZDecomposition,
-        factorize,
+        BaseSpec, DensityReport, JumpRecord, MembershipResult, ZDecomposition, factorize,
     )
     from factzeros.cli import OutputRecord
 
     spec = BaseSpec(base=10, factorization=factorize(10))
     assert spec.live_parts == ((5, 1),) and spec == BaseSpec(10, factorize(10))
     assert pickle.loads(pickle.dumps(spec)) == spec  # rebuilt through the checking constructor
-    assert OracleConfig().n_max == 2000 and OracleConfig(n_max=5).n_max == 5
     result = MembershipResult(z=5, member=False, bracket=(25, 4, 6))
     assert result.witness is None and result.bracket == (25, 4, 6)
     assert factorize(360).value == 360 and factorize(360).primes == (2, 3, 5)
     records = [
         spec,
         result,
-        OracleConfig(),
         factorize(12),
         ZDecomposition(alpha=2, beta=1, modulus=3),
         JumpRecord(location=25, per_component={(5, 1): 2}, composite_amplitude=2),
