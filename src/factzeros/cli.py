@@ -37,6 +37,7 @@ SEQUENCE_COMMANDS = ("zeros", "gaps", "families")  # the commands bfile can rend
 
 _MISMATCH_SAMPLE_CAP = 20
 MAX_VERIFY_BASES = 10**5  # the most bases one verify run takes
+MAX_VERIFY_WORK = 10**10  # len(bases) * (n_max + 1)**2: the oracle's cost, 1.1-1.5 ns a unit
 
 
 class OutputRecord(namedtuple("OutputRecord", "schema_version command inputs results")):
@@ -300,6 +301,9 @@ def cmd_verify(args) -> int:
     bases = _parse_base_set(args.bases)
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+    work = len(bases) * (args.n_max + 1) ** 2
+    if work > MAX_VERIFY_WORK:
+        raise ValueError(f"verify work bases * (n_max + 1)**2 = {work} is over {MAX_VERIFY_WORK}")
     specs = [BaseSpec.of(b) for b in bases]  # a bad base is refused before any check
     checked = len(bases) * (args.n_max + 1)
     mismatches = 0
@@ -337,34 +341,28 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 #
-# Reads a command line as argparse read this grammar (--opt v, --opt=v, -p v,
-# -p2, long-option prefixes, --, negative positionals, -h), token by token
-# from the left, so an error in an earlier token wins over a later --help.
+# argparse defines the grammar.  A plain line, the shape every documented
+# example has, is read by _read_plain without importing argparse; argparse
+# reads every other line, prints help and words each parse error.
 
 _REQUIRED = object()  # default of an option that must be given
-_HELP = {"-h": ("help", None, None), "--help": ("help", None, None)}
 
-# command -> (handler, usage, positional, options, one_of).  An option is
+# command -> (handler, positional, options, one_of).  An option is
 # flag -> (dest, type, default): type int or str converts the value, a tuple
-# lists its choices, bool is a flag without a value and None is help.
-# positional is (dest, type, takes-many) or None; exactly one of the flags in
-# one_of must be given.
+# lists its choices and bool is a flag without a value.  positional is
+# (dest, type, takes-many) or None; exactly one of the flags in one_of must
+# be given.
 _BASE = ("base", int, _REQUIRED)
 _COMMANDS = {
-    "zeros": (cmd_zeros, "--base B N [N ...]", ("n", str, True), {"--base": _BASE}, ()),
+    "zeros": (cmd_zeros, ("n", str, True), {"--base": _BASE}, ()),
     "jumps": (
-        cmd_jumps, "--base B [--from LO] --to HI", None,
+        cmd_jumps, None,
         {"--base": _BASE, "--from": ("n_lo", int, 0), "--to": ("n_hi", int, _REQUIRED)}, (),
     ),
-    "member": (cmd_member, "--base B Z", ("z", int, False), {"--base": _BASE}, ()),
-    "gaps": (
-        cmd_gaps, "--base B --max Z", None,
-        {"--base": _BASE, "--max": ("z_max", int, _REQUIRED)}, (),
-    ),
+    "member": (cmd_member, ("z", int, False), {"--base": _BASE}, ()),
+    "gaps": (cmd_gaps, None, {"--base": _BASE, "--max": ("z_max", int, _REQUIRED)}, ()),
     "families": (
         cmd_families,
-        f"{{{','.join(sorted(_FAMILIES))}}} [-p P] [-q Q] [-n N] [-k K] [-r R] [-l L] "
-        "[--as-printed] [--verify]",
         ("family", tuple(sorted(_FAMILIES)), False),
         {
             **{f"-{name}": (name, int, None) for name in "pqnkrl"},
@@ -374,146 +372,113 @@ _COMMANDS = {
         (),
     ),
     "density": (
-        cmd_density, "-p P (-k K | -N N)", None,
+        cmd_density, None,
         {"-p": ("p", int, _REQUIRED), "-k": ("k", int, None), "-N": ("N", int, None)}, ("-k", "-N"),
     ),
     "verify": (
-        cmd_verify, "[--bases 2..36] [--n-max 2000]", None,
-        {"--bases": ("bases", str, "2..36"), "--n-max": ("n_max", int, 2000)}, (),
+        cmd_verify, None, {"--bases": ("bases", str, "2..36"), "--n-max": ("n_max", int, 2000)}, (),
     ),
 }
 
 
-def _option(token: str, flags: dict):
-    """None for a positional token, else (flag, attached value or None); flag None is unknown."""
-    if token[:1] != "-" or len(token) == 1:
-        return None
-    head, eq, tail = token.partition("=")
-    if token in flags or eq and head in flags:
-        return (token, None) if token in flags else (head, tail)
-    if token[1] == "-":
-        matches = [flag for flag in flags if flag.startswith(head)]
-        if len(matches) > 1:
-            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], tail if eq else None
-    elif token[:2] in flags:
-        return token[:2], token[2:]
-    body = token[1:].removesuffix("\n")  # argparse's negative-number pattern, -5 or -.5
-    whole, dot, frac = body.partition(".")
-    number = body.isdecimal() or bool(dot) and frac.isdecimal() and (whole.isdecimal() or not whole)
-    return None if number or " " in token else (None, None)
-
-
-def _classify(argv: list[str], flags: dict) -> list:
-    """_option of each token; the first "--" is marked "--" and every later token is positional."""
-    n = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_option(token, flags) for token in argv[:n]]
-    return kinds + ["--"] + [None] * (len(argv) - n - 1) if n < len(argv) else kinds
-
-
-def _take_option(argv: list[str], kinds: list, i: int, flags: dict) -> tuple[list, int]:
-    """The (flag, text) actions of the option at argv[i] (-hp2 is -h -p 2), and the next index."""
-    flag, attached = kinds[i]
-    actions = []
-    while flags[flag][1] in (bool, None) and attached is not None:
-        if flag[1] == "-" or not attached or "-" + attached[0] not in flags:
-            raise _UsageError(f"argument {flag}: ignored explicit argument {attached!r}")
-        actions.append((flag, None))
-        flag, attached = "-" + attached[0], attached[1:] or None
-    if attached is None and flags[flag][1] not in (bool, None):
-        if i + 1 == len(argv) or kinds[i + 1] is not None:
-            raise _UsageError(f"argument {flag}: expected one argument")
-        return actions + [(flag, argv[i + 1])], i + 2
-    return actions + [(flag, attached)], i + 1
-
-
-def _convert(name: str, kind, text: str):
-    try:
-        value = int(text) if kind is int else text
-    except ValueError:
-        raise _UsageError(f"argument {name}: invalid int value: {text!r}") from None
+def _convert(kind, text: str):
+    value = int(text) if kind is int else text
     if isinstance(kind, tuple) and value not in kind:
-        raise _UsageError(f"argument {name}: invalid choice: {text!r}")
+        raise ValueError(f"invalid choice: {text!r}")
     return value
 
 
-def _print_help(commands) -> None:
-    for name in commands:
-        print(f"usage: factzeros {name} {_COMMANDS[name][1]} [--format {{{','.join(FORMATS)}}}]")
+def _read_plain(command: str, argv: list[str], flags: dict) -> SimpleNamespace | None:
+    """A plain command line's namespace, or None for argparse to read the line.
 
-
-def _parse_command(command: str, argv: list[str]) -> SimpleNamespace | None:
-    handler, _, positional, options, one_of = _COMMANDS[command]
-    format_option = ("format", FORMATS, os.environ.get(FORMAT_ENV_VAR, "text"))
-    flags = {**options, "--format": format_option, **_HELP}
-    kinds = _classify(argv, flags)
-    values = {dest: default for dest, _, default in flags.values() if dest != "help"}
-    given, extras = set(), []
-    i = 0
-    while i < len(argv):
-        if kinds[i] not in (None, "--"):  # an option
-            if kinds[i][0] is None:
-                extras.append(argv[i])
-                i += 1
-                continue
-            actions, i = _take_option(argv, kinds, i, flags)
-            for flag, text in actions:
-                dest, kind, _ = flags[flag]
-                if kind is None:
-                    _print_help([command])
+    Plain: every token is an exact flag, the value right after a valued flag
+    (not starting with "-") or a positional; the positionals form one run; the
+    required flags are given and every value converts.  argparse reads such a
+    line the same way.
+    """
+    handler, positional, _, one_of = _COMMANDS[command]
+    values = {dest: default for dest, _, default in flags.values()}
+    given, texts, split = set(), [], False
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if token in flags:
+                dest, kind, _ = flags[token]
+                text = "" if kind is bool else next(tokens, "-")  # "-" when the value is missing
+                if text[:1] == "-":
                     return None
-                values[dest] = True if kind is bool else _convert(flag, kind, text)
-                if flag in one_of and given.intersection(one_of) - {flag}:
-                    raise _UsageError(f"argument {flag}: not allowed with {' '.join(one_of)}")
-                given.add(flag)
-            continue
-        # a run of positionals: the positional takes one (or all) and a "--" beside it
-        end = i
-        while end < len(argv) and kinds[end] in (None, "--"):
-            end += 1
-        stop = i + (kinds[i] == "--")
-        if positional is not None and stop < end:
-            dest, kind, many = positional
-            stop = end if many else stop + 1 + (kinds[stop + 1 : stop + 2] == ["--"])
-            texts = [t for t, k in zip(argv[i:stop], kinds[i:stop]) if k != "--"]
-            values[dest] = texts if many else _convert(dest, kind, texts[0])
-            positional = None
+                values[dest] = True if kind is bool else _convert(kind, text)
+                given.add(token)
+                split = bool(texts)  # a later positional would start a second run
+            elif token[:1] == "-" or split:
+                return None
+            else:
+                texts.append(token)
+        if positional is None:
+            if texts:
+                return None
         else:
-            stop = i
-        extras += argv[stop:end]
-        i = end
-    missing = [flag for flag, (dest, _, _) in options.items() if values[dest] is _REQUIRED]
-    missing += [positional[0]] if positional is not None else []
-    if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if one_of and not given.intersection(one_of):
-        raise _UsageError(f"one of the arguments {' '.join(one_of)} is required")
-    if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    _convert(f"${FORMAT_ENV_VAR}", FORMATS, values["format"])  # a --format value passed already
-    if values["format"] == "bfile" and command not in SEQUENCE_COMMANDS:
-        raise _UsageError("format bfile is only available for zeros, gaps, and families")
+            dest, kind, many = positional
+            if not texts or len(texts) > 1 and not many:
+                return None
+            values[dest] = texts if many else _convert(kind, texts[0])
+    except ValueError:
+        return None
+    if _REQUIRED in values.values() or one_of and len(given.intersection(one_of)) != 1:
+        return None
     return SimpleNamespace(command=command, func=handler, **values)
 
 
-def parse_args(argv: list[str]) -> SimpleNamespace | None:
+def _read_argparse(argv: list[str], format_option: tuple):
+    """argparse's reading of argv under the grammar of _COMMANDS, or None once help is printed."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit 2, the non-member status
+            raise _UsageError(message)
+
+    def typed(kind):
+        if isinstance(kind, tuple):
+            return {"choices": kind}
+        return {"type": int} if kind is int else {}
+
+    parser = Parser(prog="factzeros", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for command, (handler, positional, options, one_of) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        p.set_defaults(func=handler)
+        if positional is not None:
+            dest, kind, many = positional
+            p.add_argument(dest, nargs="+" if many else None, **typed(kind))
+        group = p.add_mutually_exclusive_group(required=True) if one_of else None
+        for flag, (dest, kind, default) in {**options, "--format": format_option}.items():
+            (group if flag in one_of else p).add_argument(
+                flag, dest=dest, action="store_true" if kind is bool else "store",
+                default=default, required=default is _REQUIRED, **typed(kind),
+            )
+    try:
+        return parser.parse_args(argv)
+    except SystemExit:  # help was printed; every parse error raised _UsageError
+        return None
+
+
+def parse_args(argv: list[str]):
     """The command line as a namespace, or None once help is printed.
 
     Every refusal, the output format's included, is a _UsageError raised before any work.
     """
-    kinds = _classify(argv, _HELP)
-    # skip unknown options (refused below) to help or the command, whichever comes first
-    i = next((j for j, kind in enumerate(kinds) if kind in (None, "--") or kind[0]), len(argv))
-    if i < len(argv) and kinds[i] not in (None, "--"):
-        _take_option(argv, kinds, i, _HELP)
-        _print_help(_COMMANDS)
+    format_option = ("format", FORMATS, os.environ.get(FORMAT_ENV_VAR, "text"))
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        flags = {**_COMMANDS[argv[0]][2], "--format": format_option}
+        args = _read_plain(argv[0], argv[1:], flags)
+    args = args or _read_argparse(argv, format_option)
+    if args is None:
         return None
-    if i == len(argv) or argv[i] not in _COMMANDS:
-        raise _UsageError(f"argument command: expected one of {', '.join(_COMMANDS)}")
-    args = _parse_command(argv[i], argv[i + 1 :])
-    if args is not None and i:  # unknown options before the command
-        raise _UsageError(f"unrecognized arguments: {' '.join(argv[:i])}")
+    if args.format not in FORMATS:  # a --format value passed already; the default did not
+        raise _UsageError(f"argument ${FORMAT_ENV_VAR}: invalid choice: {args.format!r}")
+    if args.format == "bfile" and args.command not in SEQUENCE_COMMANDS:
+        raise _UsageError("format bfile is only available for zeros, gaps, and families")
     return args
 
 

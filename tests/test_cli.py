@@ -331,6 +331,27 @@ def test_verify_base_set_cap(capsys):
     assert code == 1 and err == "usage error: base must be >= 2, got 1\n"
 
 
+def test_verify_work_budget(capsys, monkeypatch):
+    # the budget is on len(bases) * (n_max + 1)**2; at the edge the run passes
+    assert 35 * 2001**2 <= 35 * 6001**2 <= cli.MAX_VERIFY_WORK < 100000 * 2001**2
+    monkeypatch.setattr(cli, "MAX_VERIFY_WORK", 2 * 11**2)
+    code, out, _ = run(capsys, "verify", "--bases", "2,3", "--n-max", "10")
+    assert code == 0 and "checked=22 mismatches=0" in out
+    for argv in [["--bases", "2..4", "--n-max", "10"], ["--bases", "2,3", "--n-max", "11"]]:
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("usage error: verify work") and str(2 * 11**2) in err
+
+
+def test_verify_over_the_work_budget_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--bases", "2..100001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    work, budget = 100000 * 2001**2, cli.MAX_VERIFY_WORK
+    assert err == f"usage error: verify work bases * (n_max + 1)**2 = {work} is over {budget}\n"
+
+
 def test_family_above_size_cap_exits_1_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "families", "cor3", "-q", "100003")
@@ -416,21 +437,23 @@ _LIBRARY = ["factzeros.image", "factzeros.jumps", "factzeros.oracle"]
         (
             ["gaps", "--base", "10", "--max", "40"],
             ["factzeros.image"],
-            ["factzeros.jumps", "factzeros.oracle", "json", "csv"],
+            ["factzeros.jumps", "factzeros.oracle", "json", "csv", "argparse"],
         ),
-        (["member", "--base", "10", "6"], ["factzeros.image"], ["factzeros.jumps"]),
-        (["density", "-p", "2", "-k", "3"], ["factzeros.image"], ["factzeros.jumps"]),
+        (["member", "--base", "10", "6"], ["factzeros.image"], ["factzeros.jumps", "argparse"]),
+        (["density", "-p", "2", "-k", "3"], ["factzeros.image"], ["factzeros.jumps", "argparse"]),
         (
             ["families", "prop3a", "-p", "2", "-n", "5", "--verify"],
             ["factzeros.image"],
-            ["factzeros.jumps", "factzeros.oracle"],
+            ["factzeros.jumps", "factzeros.oracle", "argparse"],
         ),
-        (["zeros", "--base", "10", "25", "--format", "json"], ["json"], ["csv"]),
+        (["zeros", "--base", "10", "25", "--format", "json"], ["json"], ["csv", "argparse"]),
         (
             ["verify", "--bases", "10", "--n-max", "5", "--format", "csv"],
             ["factzeros.oracle", "csv"],
-            ["json"],
+            ["json", "argparse"],
         ),
+        # not plain (an attached, shortened flag): argparse reads it
+        (["zeros", "--ba=10", "25"], ["argparse"], _LIBRARY),
     ],
 )
 def test_command_loads_only_what_it_runs(argv, loaded, unloaded):
@@ -445,6 +468,20 @@ def test_command_loads_only_what_it_runs(argv, loaded, unloaded):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == repr(loaded)
+
+
+def test_non_plain_line_prints_what_its_plain_form_prints():
+    argparse_read = run_process("zeros", "--ba=10", "25")
+    plain = run_process("zeros", "--base", "10", "25")
+    assert argparse_read.returncode == plain.returncode == 0
+    assert argparse_read.stdout == plain.stdout == "6\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["zeros", "-h"]])
+def test_help_exits_0_with_usage(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: factzeros")
 
 
 def test_exit_codes_through_real_processes():

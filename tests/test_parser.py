@@ -1,9 +1,15 @@
-"""The table parser against argparse, the parser it replaced, kept here as the reference."""
+"""cli.parse_args against a hand-built argparse parser, kept here as the reference.
+
+parse_args reads a plain line itself and hands every other line to an
+argparse parser built from its command table; both routes must read argv as
+the reference does.
+"""
 
 import argparse
 import contextlib
 import io
 import os
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +31,7 @@ from factzeros.cli import (
 )
 
 # ---------------------------------------------------------------------------
-# the argparse parser the table parser replaced, as cli.py had it
+# argparse written out by hand, as cli.py had it before its command table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +115,7 @@ _PARSERS = {}  # FACTZEROS_FORMAT value -> the parser built under it, which read
 
 
 def reference(argv, env):
-    """argparse's reading, plus the format checks the table parser makes at parse time."""
+    """argparse's reading, plus the format checks parse_args makes at parse time."""
     with _environment(env), contextlib.redirect_stdout(io.StringIO()):
         if env not in _PARSERS:
             _PARSERS[env] = build_parser()
@@ -155,59 +161,118 @@ def _environment(value):
 # and tokens that look like options
 ODD = ["-3", "-.5", "1_000", " 5", "x", "1.5", "", "2..9", "9..2", "json", "csv", "bfile",
        "yaml", "prop3a", "cor3", "prop9", "-x", "--", "-h", "a b"]
-VALUES = st.one_of(*[st.integers(0, 3000).map(str)] * 6, st.sampled_from(ODD))
-# attached values (--base=v, -pv) skip "--": argparse reads --base=-- as an
-# empty list, which every command then fails on as an internal error
-ATTACHED = VALUES.filter(lambda v: v != "--")
 REQUIRED = {"zeros": ["--base"], "jumps": ["--base", "--to"], "member": ["--base"],
             "gaps": ["--base", "--max"], "density": ["-p"]}
 OPTIONAL = {"jumps": ["--from"], "families": ["-p", "-q", "-n", "-k", "-r", "-l", "--as-printed",
             "--verify"], "density": ["-k", "-N"], "verify": ["--bases", "--n-max"]}
 FLAGS = {"--as-printed", "--verify"}
 NOISE = ["--", "-h", "--help", "--he", "-hp3", "-hx", "--bogus", "-x", "--format", "-5", "7"]
+ENVS = st.sampled_from([None, "json", "yaml", "bfile"])
 
 
-@st.composite
-def option_tokens(draw, flag):
+def value(rng, odd=ODD):
+    return str(rng.randint(0, 3000)) if rng.randrange(7) else rng.choice(odd)
+
+
+def attached(rng, empty=True):
+    # attached values (--base=v, -pv) skip "--": argparse reads --base=-- as an
+    # empty list, which every command then fails on as an internal error
+    while (v := value(rng)) == "--" or not (v or empty):
+        pass
+    return v
+
+
+def option_tokens(rng, flag):
     """One option in one of the forms argparse accepts, or with its value missing."""
-    prefix = flag[: draw(st.integers(3, len(flag)))] if flag.startswith("--") else flag
+    prefix = flag[: rng.randint(3, len(flag))] if flag.startswith("--") else flag
     if flag in FLAGS:
-        return [draw(st.sampled_from([flag, prefix, f"{prefix}={draw(ATTACHED)}"]))]
-    form = draw(st.sampled_from(["split", "split", "equals", "glued", "missing"]))
+        return [rng.choice([flag, prefix, f"{prefix}={attached(rng)}"])]
+    form = rng.choice(["split", "split", "equals", "glued", "missing"])
     if form == "equals":
-        return [f"{prefix}={draw(ATTACHED)}"]
+        return [f"{prefix}={attached(rng)}"]
     if form == "glued" and not flag.startswith("--"):
-        return [flag + draw(ATTACHED.filter(bool))]  # "" would make it the missing form
-    return [prefix] if form == "missing" else [prefix, draw(VALUES)]
+        return [flag + attached(rng, empty=False)]  # "" would make it the missing form
+    return [prefix] if form == "missing" else [prefix, value(rng)]
 
 
-@st.composite
-def command_lines(draw):
-    command = draw(st.sampled_from([*REQUIRED, "families", "verify"] * 3 + ["nonsense"]))
-    flags = [flag for flag in REQUIRED.get(command, []) if draw(st.integers(0, 9))]
+def command_line(rng):
+    command = rng.choice([*REQUIRED, "families", "verify"] * 3 + ["nonsense"])
+    flags = [flag for flag in REQUIRED.get(command, []) if rng.randint(0, 9)]
     if command in OPTIONAL:
-        flags += draw(st.lists(st.sampled_from(OPTIONAL[command]), max_size=3))
-    pieces = [draw(option_tokens(flag)) for flag in flags]
-    if draw(st.booleans()):
-        pieces.append(["--format", draw(st.sampled_from([*FORMATS, *FORMATS, "yaml"]))])
+        flags += [rng.choice(OPTIONAL[command]) for _ in range(rng.randint(0, 3))]
+    pieces = [option_tokens(rng, flag) for flag in flags]
+    if rng.random() < 0.5:
+        pieces.append(["--format", rng.choice([*FORMATS, *FORMATS, "yaml"])])
     if command == "families":
-        family = st.sampled_from([*sorted(_FAMILIES), "prop9"])
-        pieces += [[draw(family)] for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2])))]
+        family = [*sorted(_FAMILIES), "prop9"]
+        pieces += [[rng.choice(family)] for _ in range(rng.choice([1, 1, 1, 0, 2]))]
     elif command in ("zeros", "member"):
-        pieces += [[draw(VALUES)] for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2, 3])))]
-    if not draw(st.integers(0, 4)):
-        pieces.append([draw(st.sampled_from(NOISE))])
-    tokens = [t for piece in draw(st.permutations(pieces)) for t in piece]
-    if not draw(st.integers(0, 9)):
-        tokens.insert(0, draw(st.sampled_from(["-h", "--bogus", "--he", "-hh", "-hx", "--"])))
+        pieces += [[value(rng)] for _ in range(rng.choice([1, 1, 1, 0, 2, 3]))]
+    if not rng.randint(0, 4):
+        pieces.append([rng.choice(NOISE)])
+    tokens = [t for piece in rng.sample(pieces, len(pieces)) for t in piece]
+    if not rng.randint(0, 9):
+        tokens.insert(0, rng.choice(["-h", "--bogus", "--he", "-hh", "-hx", "--"]))
         return tokens if command == "nonsense" else [tokens[0], command, *tokens[1:]]
     return tokens if command == "nonsense" else [command, *tokens]
 
 
 @settings(max_examples=2000, deadline=None)
-@given(command_lines(), st.sampled_from([None, "json", "yaml", "bfile"]))
-def test_table_parser_reads_argv_as_argparse_did(argv, env):
+@given(st.integers(0, 2**64), ENVS)
+def test_table_parser_reads_argv_as_argparse_did(seed, env):
+    argv = command_line(random.Random(seed))
     assert table(argv, env) == reference(argv, env)
+
+
+# plain lines: exact flags, separate values that do not start with "-"; the
+# positionals may repeat a flag's value, and may be split by an option
+PLAIN_ODD = ["x", "", "1.5", " 5", "2..9", "1_000", "json", "yaml", "prop3a", "prop9"]
+
+
+def plain_line(rng):
+    command = rng.choice([*REQUIRED, "families", "verify"])
+    flags = [flag for flag in REQUIRED.get(command, []) if rng.randint(0, 9)]
+    if command == "density":
+        flags.append(rng.choice(OPTIONAL[command]))
+    if command in OPTIONAL:
+        flags += [rng.choice(OPTIONAL[command]) for _ in range(rng.choice([0, 0, 1, 2]))]
+    pieces = [[flag] if flag in FLAGS else [flag, value(rng, PLAIN_ODD)] for flag in flags]
+    if rng.random() < 0.5:
+        pieces.append(["--format", rng.choice([*FORMATS, *FORMATS, "yaml"])])
+    rng.shuffle(pieces)
+    if command == "families":
+        family = sorted(_FAMILIES) * 9 + ["prop9"]
+        run = [rng.choice(family) for _ in range(rng.choice([1] * 8 + [0, 2]))]
+    elif command in ("zeros", "member"):
+        used = [piece[1] for piece in pieces if len(piece) == 2]
+        count = rng.choice([1] * 8 + [0, 2, 3] if command == "member" else [1, 2, 3, 0])
+        run = [rng.choice(used) if used and rng.random() < 0.3 else value(rng, PLAIN_ODD)
+               for _ in range(count)]
+    else:
+        run = []
+    if len(run) > 1 and pieces and rng.random() < 0.2:  # split the run by an option
+        i = rng.randrange(len(pieces))
+        pieces[i : i + 1] = [run[:1], pieces[i], run[1:]]
+    else:
+        pieces.insert(rng.randint(0, len(pieces)), run)
+    return [command, *(t for piece in pieces for t in piece)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**64), ENVS)
+def test_plain_lines_read_as_argparse_reads_them(seed, env):
+    argv = plain_line(random.Random(seed))
+    assert table(argv, env) == reference(argv, env)
+
+
+def test_plain_reader_answers_most_plain_lines(monkeypatch):
+    answers = []
+    real = cli._read_plain
+    monkeypatch.setattr(cli, "_read_plain", lambda *a: answers.append(real(*a)) or answers[-1])
+    for seed in range(300):
+        table(plain_line(random.Random(seed)), None)
+    assert len(answers) == 300
+    assert 2 * sum(a is not None for a in answers) > len(answers)
 
 
 def test_reference_route_agrees_on_fixed_forms():
@@ -224,11 +289,13 @@ def test_reference_route_agrees_on_fixed_forms():
         ["-h"],
         ["families", "-hp3"],
         ["zeros", "--base", "x", "-h"],
+        ["zeros", "0", "--base", "0", "0"],
+        ["verify", "--bases", "-x"],
     ]
     outcomes = [table(argv, None) for argv in cases]
     assert outcomes == [reference(argv, None) for argv in cases]
     assert outcomes[1]["n"] == ["1..3"] and outcomes[1]["format"] == "csv"
     assert outcomes[3]["N"] == -3 and outcomes[4]["verify"] is True
     assert outcomes[5]["z"] == -5 and outcomes[6]["z"] == 5
-    assert outcomes[7] == outcomes[8] == outcomes[11] == "refused"
+    assert outcomes[7] == outcomes[8] == outcomes[11] == outcomes[12] == outcomes[13] == "refused"
     assert outcomes[9] == outcomes[10] == "help, exit 0"
