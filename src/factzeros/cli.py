@@ -16,7 +16,8 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
+from functools import lru_cache
 from types import SimpleNamespace
 
 from .errors import PreconditionError, VerificationError
@@ -38,6 +39,8 @@ SEQUENCE_COMMANDS = ("zeros", "gaps", "families")  # the commands bfile can rend
 _MISMATCH_SAMPLE_CAP = 20
 MAX_VERIFY_BASES = 10**5  # the most bases one verify run takes
 MAX_VERIFY_WORK = 10**10  # len(bases) * (n_max + 1)**2: the oracle's cost, 1.1-1.5 ns a unit
+MAX_DENSITY_N = 250_000_000  # density's count walk costs 60-80 ns per unit of N; 5**12 - 1 passes
+MAX_MEMBER_BITS = 5_000  # bits of member's z: the gallop takes about 16 s at the cap in base 3
 
 
 class OutputRecord(namedtuple("OutputRecord", "schema_version command inputs results")):
@@ -59,30 +62,20 @@ class OutputRecord(namedtuple("OutputRecord", "schema_version command inputs res
         return cls(obj["schema_version"], obj["command"], obj["inputs"], obj["results"])
 
 
-def make_record(command: str, inputs: dict, results: dict) -> OutputRecord:
-    return OutputRecord(SCHEMA_VERSION, command, inputs, results)
-
-
 class _UsageError(Exception):
     pass
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     """An integer or an inclusive a..b range."""
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ValueError(f"malformed range {text!r}; expected a..b") from None
-        if lo > hi:
-            raise ValueError(f"range {text!r} is reversed")
-        return lo, hi
+    lo_s, dots, hi_s = text.partition("..")
     try:
-        n = int(text)
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
     except ValueError:
         raise ValueError(f"expected an integer or a..b range, got {text!r}") from None
-    return n, n
+    if lo > hi:
+        raise ValueError(f"range {text!r} is reversed")
+    return lo, hi
 
 
 def _parse_base_set(text: str) -> list[int]:
@@ -106,28 +99,28 @@ def _parse_base_set(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # output
 
-# one result line: its record, its text line and its csv row; the bfile line
-# of a sequence command is the first two csv fields
-Row = tuple[OutputRecord, str, list]
+def _emit(args, csv_columns: list[str], lines: Iterable[tuple]) -> None:
+    """Write each (inputs, results, text, csv_row) line in args.format.
 
-
-def _write_stream(fmt: str, csv_columns: list[str], rows: Iterable[Row]) -> None:
-    """Write the rows in fmt; the parser has refused bfile for non-sequence commands."""
-    out = sys.stdout
-    if fmt == "text":
-        for _, txt, _ in rows:
-            out.write(txt + "\n")
-    elif fmt == "json":
-        for rec, _, _ in rows:
-            out.write(rec.to_json() + "\n")
-    elif fmt == "csv":
+    The json record is built here from args.command; the bfile line of a
+    sequence command is the first two csv fields, and the parser has refused
+    bfile for the other commands.
+    """
+    out, command = sys.stdout, args.command
+    if args.format == "text":
+        for _, _, text, _ in lines:
+            out.write(text + "\n")
+    elif args.format == "json":
+        for inputs, results, _, _ in lines:
+            out.write(OutputRecord(SCHEMA_VERSION, command, inputs, results).to_json() + "\n")
+    elif args.format == "csv":
         import csv
 
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(csv_columns)
-        writer.writerows(row for _, _, row in rows)
+        writer.writerows(row for _, _, _, row in lines)
     else:
-        for _, _, row in rows:
+        for _, _, _, row in lines:
             out.write(f"{row[0]} {row[1]}\n")
 
 
@@ -145,15 +138,15 @@ def cmd_zeros(args) -> int:
     for lo, _ in ranges:
         _check_n(lo)
 
-    def rows() -> Iterator[Row]:
+    def lines():
         for lo, hi in ranges:
             bare = lo == hi
             for n in range(lo, hi + 1):
                 z = z_base(spec, n)
-                rec = make_record("zeros", {"base": spec.base, "n": n}, {"zeros": z})
-                yield rec, f"{z}" if bare else f"{n} {z}", [n, z]
+                text = f"{z}" if bare else f"{n} {z}"
+                yield {"base": spec.base, "n": n}, {"zeros": z}, text, [n, z]
 
-    _write_stream(args.format, ["n", "zeros"], rows())
+    _emit(args, ["n", "zeros"], lines())
     return EXIT_OK
 
 
@@ -161,22 +154,19 @@ def cmd_jumps(args) -> int:
     from .jumps import jump_stream
 
     spec = BaseSpec.of(args.base)
-    if args.n_lo > args.n_hi:  # jump_stream, a generator, would check only on its first read
-        raise ValueError(f"empty range bounds reversed: {args.n_lo} > {args.n_hi}")
-    _check_n(args.n_lo)
+    records = jump_stream(spec, args.n_lo, args.n_hi)
     inputs = {"base": spec.base, "from": args.n_lo, "to": args.n_hi}
 
-    def rows() -> Iterator[Row]:
-        for rec in jump_stream(spec, args.n_lo, args.n_hi):
+    def lines():
+        for rec in records:
             loc, amp = rec.location, rec.composite_amplitude
             parts = sorted(rec.per_component.items())
             components = [{"prime": p, "exponent": r, "amplitude": a} for (p, r), a in parts]
             results = {"location": loc, "composite_amplitude": amp, "per_component": components}
             text = f"{loc} {amp} {_components_text(components, ',')}"
-            row = [loc, amp, _components_text(components, ";")]
-            yield make_record("jumps", inputs, results), text, row
+            yield inputs, results, text, [loc, amp, _components_text(components, ";")]
 
-    _write_stream(args.format, ["location", "composite_amplitude", "components"], rows())
+    _emit(args, ["location", "composite_amplitude", "components"], lines())
     return EXIT_OK
 
 
@@ -184,6 +174,8 @@ def cmd_member(args) -> int:
     from .image import in_image
 
     spec = BaseSpec.of(args.base)
+    if args.z.bit_length() > MAX_MEMBER_BITS:
+        raise ValueError(f"member z has {args.z.bit_length()} bits, over {MAX_MEMBER_BITS}")
     res = in_image(spec, args.z)
     if res.member:
         results = {"member": True, "witness": res.witness, "bracket": None}
@@ -197,12 +189,8 @@ def cmd_member(args) -> int:
         results = {"member": False, "witness": None, "bracket": bracket}
         txt = f"{args.z} non-member bracket n={n_star - 1} below={below} above={above}"
         row = [args.z, False, "", n_star - 1, below, above]
-    rec = make_record("member", {"base": spec.base, "z": args.z}, results)
-    _write_stream(
-        args.format,
-        ["z", "member", "witness", "bracket_n", "z_below", "z_above"],
-        [(rec, txt, row)],
-    )
+    columns = ["z", "member", "witness", "bracket_n", "z_below", "z_above"]
+    _emit(args, columns, [({"base": spec.base, "z": args.z}, results, txt, row)])
     return EXIT_OK if res.member else EXIT_NON_MEMBER
 
 
@@ -212,13 +200,11 @@ def cmd_gaps(args) -> int:
     spec = BaseSpec.of(args.base)
     _check_n(args.z_max)
     inputs = {"base": spec.base, "z_max": args.z_max}
-
-    def rows() -> Iterator[Row]:  # streamed: each gap is written as soon as it is found
-        for i, gap in enumerate(_gaps(spec, args.z_max), start=1):
-            rec = make_record("gaps", inputs, {"index": i, "gap": gap})
-            yield rec, str(gap), [i, gap]
-
-    _write_stream(args.format, ["index", "gap"], rows())
+    lines = (  # streamed: each gap is written as soon as it is found
+        (inputs, {"index": i, "gap": gap}, str(gap), [i, gap])
+        for i, gap in enumerate(_gaps(spec, args.z_max), start=1)
+    )
+    _emit(args, ["index", "gap"], lines)
     return EXIT_OK
 
 
@@ -237,12 +223,10 @@ def cmd_families(args) -> int:
     from . import image
 
     generate = getattr(image, f"family_{args.family}")
-    params = {}
-    for name in _FAMILIES[args.family]:
-        value = getattr(args, name)
+    params = {name: getattr(args, name) for name in _FAMILIES[args.family]}
+    for name, value in params.items():
         if value is None:
             raise ValueError(f"family {args.family} requires -{name}")
-        params[name] = value
     if args.as_printed:
         if args.family != "cor3":
             raise ValueError("--as-printed only applies to cor3")
@@ -251,16 +235,16 @@ def cmd_families(args) -> int:
     values = generate(**params, verify=args.verify)
     inputs = {"family": args.family, **params}
 
-    def rows() -> Iterator[Row]:
+    def lines():
         for i, v in enumerate(values, start=1):
             results = {"index": i, "value": v}
             txt = str(v)
             if args.verify:
                 results["member"] = False
                 txt += " non-member"
-            yield make_record("families", inputs, results), txt, list(results.values())
+            yield inputs, results, txt, list(results.values())
 
-    _write_stream(args.format, ["index", "value"] + (["member"] if args.verify else []), rows())
+    _emit(args, ["index", "value"] + (["member"] if args.verify else []), lines())
     return EXIT_OK
 
 
@@ -269,8 +253,10 @@ def cmd_density(args) -> int:
 
     if args.k is not None and args.k < 1:
         raise ValueError(f"-k must be >= 1, got {args.k}")
-    n_upper = args.N if args.k is None else args.p**args.k - 1
-    inputs = {"p": args.p, "k": args.k, "N": n_upper}
+    k_cap = MAX_DENSITY_N.bit_length() + 1  # p**k_cap - 1 > MAX_DENSITY_N: p**k is never built big
+    n_upper = args.N if args.k is None else args.p ** min(args.k, k_cap) - 1
+    if n_upper > MAX_DENSITY_N:
+        raise ValueError(f"density N is over {MAX_DENSITY_N}, the limit of its O(N) count walk")
     report = density_exact(args.p, n_upper)
     num, den = report.ratio.numerator, report.ratio.denominator
     results = {
@@ -285,11 +271,8 @@ def cmd_density(args) -> int:
         f"ratio={num}/{den} divergence={str(report.divergence).lower()}"
     )
     row = [args.p, n_upper, report.a_exact, report.a_paper_formula, num, den, report.divergence]
-    _write_stream(
-        args.format,
-        ["p", "N", "a_exact", "a_paper_formula", "ratio_num", "ratio_den", "divergence"],
-        [(make_record("density", inputs, results), txt, row)],
-    )
+    columns = ["p", "N", "a_exact", "a_paper_formula", "ratio_num", "ratio_den", "divergence"]
+    _emit(args, columns, [({"p": args.p, "k": args.k, "N": n_upper}, results, txt, row)])
     return EXIT_OK
 
 
@@ -321,7 +304,6 @@ def cmd_verify(args) -> int:
         {"base": bases[i], "n": n, "oracle": expected, "closed_form": got}
         for n, i, expected, got in nsmallest(_MISMATCH_SAMPLE_CAP, found())
     ]
-    inputs = {"bases": bases, "n_max": args.n_max}
     results = {"checked": checked, "mismatches": mismatches, "mismatch_sample": sample}
     txt = f"bases={args.bases} n_max={args.n_max} checked={checked} mismatches={mismatches}"
     for m in sample:
@@ -330,11 +312,8 @@ def cmd_verify(args) -> int:
             f"oracle={m['oracle']} closed_form={m['closed_form']}"
         )
     row = [",".join(str(b) for b in bases), args.n_max, checked, mismatches]
-    _write_stream(
-        args.format,
-        ["bases", "n_max", "checked", "mismatches"],
-        [(make_record("verify", inputs, results), txt, row)],
-    )
+    columns = ["bases", "n_max", "checked", "mismatches"]
+    _emit(args, columns, [({"bases": bases, "n_max": args.n_max}, results, txt, row)])
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
@@ -429,8 +408,9 @@ def _read_plain(command: str, argv: list[str], flags: dict) -> SimpleNamespace |
     return SimpleNamespace(command=command, func=handler, **values)
 
 
-def _read_argparse(argv: list[str], format_option: tuple):
-    """argparse's reading of argv under the grammar of _COMMANDS, or None once help is printed."""
+@lru_cache(maxsize=None)
+def _argparse_parser(format_option: tuple):
+    """argparse's parser for the grammar of _COMMANDS, built once per --format option."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -456,10 +436,7 @@ def _read_argparse(argv: list[str], format_option: tuple):
                 flag, dest=dest, action="store_true" if kind is bool else "store",
                 default=default, required=default is _REQUIRED, **typed(kind),
             )
-    try:
-        return parser.parse_args(argv)
-    except SystemExit:  # help was printed; every parse error raised _UsageError
-        return None
+    return parser
 
 
 def parse_args(argv: list[str]):
@@ -472,9 +449,11 @@ def parse_args(argv: list[str]):
     if argv and argv[0] in _COMMANDS:
         flags = {**_COMMANDS[argv[0]][2], "--format": format_option}
         args = _read_plain(argv[0], argv[1:], flags)
-    args = args or _read_argparse(argv, format_option)
     if args is None:
-        return None
+        try:
+            args = _argparse_parser(format_option).parse_args(argv)
+        except SystemExit:  # help was printed; every parse error raised _UsageError
+            return None
     if args.format not in FORMATS:  # a --format value passed already; the default did not
         raise _UsageError(f"argument ${FORMAT_ENV_VAR}: invalid choice: {args.format!r}")
     if args.format == "bfile" and args.command not in SEQUENCE_COMMANDS:

@@ -73,13 +73,13 @@ def decompose_z(p: int, r: int, n: int) -> ZDecomposition:
 def is_stationary_prime_power(p: int, r: int, n: int) -> bool:
     """Whether the base p**r count stays flat from n to n+1.
 
-    Flat exactly when the valuation m of n+1 satisfies m < r - beta, beta
-    being the residue of the prime count mod r.
+    Flat exactly when the step floor((m + beta) / r) is 0, that is when the
+    valuation m of n+1 satisfies m < r - beta, beta being the residue of the
+    prime count mod r.
     """
     if r < 2:
         raise ValueError(f"exponent must be >= 2, got {r}")
-    m = valuation(p, n + 1)
-    return m < r - decompose_z(p, r, n).beta
+    return _component_amplitude(p, r, n) == 0
 
 
 def jump_amplitude_prime_power(p: int, r: int, n: int) -> int:
@@ -108,11 +108,17 @@ def jump_stream(b: "int | BaseSpec", n_lo: int, n_hi: int) -> Iterator[JumpRecor
     a running count, started once at z_prime(p, n_lo) and raised by the
     valuation of every candidate it divides; a record is yielded where the
     minimum rises.  per_component lists every part of the base, dropped ones
-    included, and is computed only at the records.
+    included, and is computed only at the records.  The bounds are checked
+    at the call, before the first record is read.
     """
     spec = BaseSpec.of(b)
     if n_lo > n_hi:
         raise ValueError(f"empty range bounds reversed: {n_lo} > {n_hi}")
+    _check_n(n_lo)
+    return _jump_records(spec, n_lo, n_hi)
+
+
+def _jump_records(spec: BaseSpec, n_lo: int, n_hi: int) -> Iterator[JumpRecord]:
     primes = [p for p, _ in spec.live_parts]
     exps = [r for _, r in spec.live_parts]
     counts = [z_prime(p, n_lo) for p in primes]

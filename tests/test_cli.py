@@ -352,6 +352,61 @@ def test_verify_over_the_work_budget_exits_1_at_once(capsys):
     assert err == f"usage error: verify work bases * (n_max + 1)**2 = {work} is over {budget}\n"
 
 
+def test_density_limit(capsys, monkeypatch):
+    # criterion 9's N = 5**12 - 1 and the cap itself reach the count; one past the cap does not
+    assert 5**12 - 1 <= cli.MAX_DENSITY_N
+    real, calls = image.density_exact, []
+    monkeypatch.setattr(image, "density_exact", lambda p, N: calls.append((p, N)) or real(2, 15))
+    cap = cli.MAX_DENSITY_N
+    for argv in [["-p", "5", "-k", "12"], ["-p", "2", "-N", str(cap)]]:
+        assert run(capsys, "density", *argv)[0] == 0
+    assert calls == [(5, 5**12 - 1), (2, cap)]
+    code, out, err = run(capsys, "density", "-p", "2", "-N", str(cap + 1))
+    assert code == 1 and out == "" and calls == [(5, 5**12 - 1), (2, cap)]
+    assert err == f"usage error: density N is over {cap}, the limit of its O(N) count walk\n"
+
+
+def test_density_limit_edge_by_k_and_N(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DENSITY_N", 15)
+    code, out, _ = run(capsys, "density", "-p", "2", "-k", "4")
+    assert code == 0 and out == "p=2 N=15 a_exact=9 formula=10 ratio=3/5 divergence=true\n"
+    for argv in [["-p", "2", "-k", "5"], ["-p", "3", "-k", "3"], ["-p", "2", "-N", "16"]]:
+        code, out, err = run(capsys, "density", *argv)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1 and "over 15" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "-p", "2", "-N", str(10**40)],
+        ["density", "-p", "2", "-k", "100000000"],
+        ["member", "--base", "3", str(2**5000)],
+        ["member", "--base", "3", str(10**4000)],
+    ],
+)
+def test_over_the_limit_exits_1_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+
+
+def test_member_bit_cap(capsys, monkeypatch):
+    # a z of MAX_MEMBER_BITS bits reaches the inversion; one bit more does not
+    cap = cli.MAX_MEMBER_BITS
+    real, calls = image.in_image, []
+    monkeypatch.setattr(image, "in_image", lambda b, z: calls.append(z) or real(b, 5))
+    assert run(capsys, "member", "--base", "3", str(2**cap - 1))[0] == 0
+    code, out, err = run(capsys, "member", "--base", "3", str(2**cap))
+    assert calls == [2**cap - 1] and code == 1 and out == ""
+    assert err == f"usage error: member z has {cap + 1} bits, over {cap}\n"
+    monkeypatch.setattr(image, "in_image", real)
+    monkeypatch.setattr(cli, "MAX_MEMBER_BITS", 4)
+    assert run(capsys, "member", "--base", "10", "15") == (0, "15 member witness=65\n", "")
+    code, out, err = run(capsys, "member", "--base", "10", "16")
+    assert code == 1 and out == "" and err == "usage error: member z has 5 bits, over 4\n"
+
+
 def test_family_above_size_cap_exits_1_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "families", "cor3", "-q", "100003")

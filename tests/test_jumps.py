@@ -130,8 +130,15 @@ def test_jump_stream_known_values():
 
 
 def test_jump_stream_rejects_reversed_range():
+    # refused at the call, before any record is read
+    for n_hi in (4, 3):
+        with pytest.raises(ValueError, match="reversed"):
+            jump_stream(10, 5, n_hi)
+
+
+def test_jump_stream_rejects_negative_start():
     with pytest.raises(ValueError):
-        list(jump_stream(10, 5, 4))
+        jump_stream(10, -1, 3)
 
 
 def test_jump_stream_matches_exhaustive_scan():
